@@ -192,19 +192,7 @@ impl EngineBuilder {
         self,
         dir: impl AsRef<std::path::Path>,
     ) -> std::io::Result<XRankEngine<FileStore>> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        let tmp = dir.join(crate::persist::STORE_TMP);
-        if tmp.exists() {
-            // Leftover from an interrupted save; it was never committed.
-            std::fs::remove_dir_all(&tmp)?;
-        }
-        let store = FileStore::open(&tmp)?;
-        let engine = self.build_with_store(store)?;
-        engine.write_meta_file(&tmp.join(crate::persist::META_FILE))?;
-        engine.pool().store().sync()?;
-        crate::persist::commit_store_swap(dir)?;
-        Ok(engine)
+        crate::persist::build_committed(dir.as_ref(), |store| self.build_with_store(store))
     }
 
     /// Builds against an arbitrary page store. Fallible: every index page
@@ -240,37 +228,7 @@ impl EngineBuilder {
             matched.then_some(init)
         });
         let ranks = elem_rank_seeded(&collection, &self.config.rank_params, seed);
-        let mut pool = BufferPool::new(store, self.config.pool_pages);
-        pool.set_fault_policy(self.config.fault_policy);
-
-        let direct = direct_postings_weighted(&collection, &ranks.scores, self.config.weighting);
-        let hdil = HdilIndex::build(&mut pool, &direct)?;
-        let rdil = if self.config.with_rdil {
-            Some(RdilIndex::build(&mut pool, &direct)?)
-        } else {
-            None
-        };
-        let (naive_id, naive_rank) = if self.config.with_naive {
-            let naive = naive_postings(&collection, &ranks.scores);
-            (
-                Some(NaiveIdIndex::build(&mut pool, &naive)?),
-                Some(NaiveRankIndex::build(&mut pool, &naive)?),
-            )
-        } else {
-            (None, None)
-        };
-
-        Ok(XRankEngine::from_parts(
-            self.config,
-            collection,
-            ranks,
-            pool,
-            hdil,
-            rdil,
-            naive_id,
-            naive_rank,
-            self.html_docs,
-        ))
+        XRankEngine::build_indexes(self.config, collection, ranks, self.html_docs, store)
     }
 }
 
@@ -920,6 +878,42 @@ impl<S: PageStore> XRankEngine<S> {
 
     pub(crate) fn html_docs_ref(&self) -> &HashSet<u32> {
         &self.html_docs
+    }
+
+    /// The index half of a build: writes HDIL (plus RDIL and the naive
+    /// baselines when `config` asks for them) for an already-ranked
+    /// collection. Shared by [`EngineBuilder::build_with_store`] and
+    /// [`XRankEngine::migrate`].
+    pub(crate) fn build_indexes(
+        config: EngineConfig,
+        collection: Collection,
+        ranks: RankResult,
+        html_docs: HashSet<u32>,
+        store: S,
+    ) -> StorageResult<Self> {
+        let mut pool = BufferPool::new(store, config.pool_pages);
+        pool.set_fault_policy(config.fault_policy);
+
+        let direct = direct_postings_weighted(&collection, &ranks.scores, config.weighting);
+        let hdil = HdilIndex::build(&mut pool, &direct)?;
+        let rdil = if config.with_rdil {
+            Some(RdilIndex::build(&mut pool, &direct)?)
+        } else {
+            None
+        };
+        let (naive_id, naive_rank) = if config.with_naive {
+            let naive = naive_postings(&collection, &ranks.scores);
+            (
+                Some(NaiveIdIndex::build(&mut pool, &naive)?),
+                Some(NaiveRankIndex::build(&mut pool, &naive)?),
+            )
+        } else {
+            (None, None)
+        };
+
+        Ok(Self::from_parts(
+            config, collection, ranks, pool, hdil, rdil, naive_id, naive_rank, html_docs,
+        ))
     }
 
     #[allow(clippy::too_many_arguments)]

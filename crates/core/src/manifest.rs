@@ -126,11 +126,11 @@ pub(crate) fn read_manifest(path: &Path) -> io::Result<ManifestData> {
     }
     let seq = get_u64(&mut r)?;
     let n = get_u32(&mut r)?;
-    let mut segments = Vec::with_capacity(n as usize);
+    let mut segments = Vec::with_capacity(n.min(1 << 20) as usize);
     for _ in 0..n {
         let id = get_u64(&mut r)?;
         let nt = get_u32(&mut r)?;
-        let mut tombstones = Vec::with_capacity(nt as usize);
+        let mut tombstones = Vec::with_capacity(nt.min(1 << 20) as usize);
         for _ in 0..nt {
             tombstones.push(get_str(&mut r)?);
         }

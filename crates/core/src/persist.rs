@@ -14,11 +14,17 @@
 //! A crash before the first rename leaves the previous `store/` intact; a
 //! crash between the renames leaves `store.old/` intact; after the second
 //! rename the new `store/` is complete. [`XRankEngine::open`] resolves in
-//! that order (`store/`, then `store.old/`, then the pre-crash-safety
-//! layout with the meta file beside `store/`), so *some* complete index is
+//! that order (`store/`, then `store.old/`), so *some* complete index is
 //! always openable. Opening also verifies every page checksum so that
 //! silent on-disk corruption fails loudly at open instead of poisoning
 //! queries later.
+//!
+//! `open` reads exactly one format: meta v3 over block-compressed lists
+//! in a checksummed store. Directories written by older builds (meta v1
+//! beside `store/`, or meta v2 inside it) are refused with an error naming
+//! `xrank migrate`; [`XRankEngine::migrate`] rebuilds their indexes from
+//! the meta head, which every version lays out identically, and commits
+//! the result through the same store swap.
 //!
 //! Settings that shape the *stored* data (rank parameters, weighting,
 //! which indexes were built) are baked into the files; settings that only
@@ -33,17 +39,15 @@ use xrank_graph::Collection;
 use xrank_index::{HdilIndex, NaiveIdIndex, NaiveRankIndex, RdilIndex};
 use xrank_rank::RankResult;
 use xrank_storage::wire::{get_f64, get_u32, get_u64, put_f64, put_u32, put_u64};
-use xrank_storage::{BufferPool, FileStore, PageStore};
+use xrank_storage::{BufferPool, FileStore, PageStore, StorageResult};
 
 const MAGIC: &[u8; 4] = b"XRKE";
-/// Current meta-file version. v2 engines store checksummed pages and keep
-/// the meta file inside the store directory; v3 engines write
-/// block-compressed posting pages with per-list skip tables (the list
-/// table tags each list with its page format, so stores holding
-/// uncompressed lists keep opening and serving unchanged). All older metas
-/// are still readable.
+/// Meta-file version: the meta sits inside a checksummed store directory
+/// whose posting lists are block-compressed with per-list skip tables.
+/// Versions 1 (meta beside the store, unchecksummed pages) and 2
+/// (uncompressed lists) share the meta head and are only read by
+/// [`XRankEngine::migrate`].
 const VERSION: u32 = 3;
-const OLDEST_READABLE_VERSION: u32 = 1;
 
 /// The live store directory under the engine dir.
 pub(crate) const STORE_DIR: &str = "store";
@@ -51,8 +55,8 @@ pub(crate) const STORE_DIR: &str = "store";
 pub(crate) const STORE_TMP: &str = "store.tmp";
 /// Where the previous index sits between the two commit renames.
 pub(crate) const STORE_OLD: &str = "store.old";
-/// The metadata file name (inside the store directory for v2 layouts,
-/// beside it for legacy v1 layouts).
+/// The metadata file name (inside the store directory; v1 layouts kept it
+/// beside the store directory).
 pub(crate) const META_FILE: &str = "xrank-meta.bin";
 
 fn bad(msg: &str) -> io::Error {
@@ -73,7 +77,9 @@ pub(crate) fn commit_store_swap(dir: &Path) -> io::Result<()> {
     let live = dir.join(STORE_DIR);
     let old = dir.join(STORE_OLD);
     fsync_dir(&tmp)?;
-    if old.exists() {
+    // A stranded `store.old/` is the only complete index while `store/` is
+    // missing (a crash between the renames); keep it until the commit lands.
+    if old.exists() && live.exists() {
         std::fs::remove_dir_all(&old)?;
     }
     if live.exists() {
@@ -81,11 +87,88 @@ pub(crate) fn commit_store_swap(dir: &Path) -> io::Result<()> {
     }
     std::fs::rename(&tmp, &live)?;
     fsync_dir(dir)?;
-    // The commit has landed; the previous index and any legacy-layout meta
+    // The commit has landed; the previous index and any v1-layout meta
     // beside the store directory are now superseded. Best-effort cleanup.
     let _ = std::fs::remove_dir_all(&old);
     let _ = std::fs::remove_file(dir.join(META_FILE));
     Ok(())
+}
+
+/// Builds an engine into a fresh `dir/store.tmp/` with `build`, writes its
+/// meta file, fsyncs everything and commits with [`commit_store_swap`].
+pub(crate) fn build_committed(
+    dir: &Path,
+    build: impl FnOnce(FileStore) -> StorageResult<XRankEngine<FileStore>>,
+) -> io::Result<XRankEngine<FileStore>> {
+    std::fs::create_dir_all(dir)?;
+    let tmp = dir.join(STORE_TMP);
+    if tmp.exists() {
+        // Leftover from an interrupted save; it was never committed.
+        std::fs::remove_dir_all(&tmp)?;
+    }
+    let engine = build(FileStore::open(&tmp)?)?;
+    engine.write_meta_file(&tmp.join(META_FILE))?;
+    engine.pool().store().sync()?;
+    commit_store_swap(dir)?;
+    Ok(engine)
+}
+
+/// Where a committed engine's meta file can be, in the order the commit
+/// protocol makes authoritative: the live store, then the pre-commit
+/// snapshot a crash may have stranded.
+fn committed_metas(dir: &Path) -> [std::path::PathBuf; 2] {
+    [STORE_DIR, STORE_OLD].map(|store| dir.join(store).join(META_FILE))
+}
+
+/// The part of the meta file every version lays out identically: what a
+/// build computes before it writes any index page.
+struct MetaHead {
+    collection: Collection,
+    ranks: RankResult,
+    html_docs: HashSet<u32>,
+}
+
+/// Checks the magic and returns the meta version (any version up to the
+/// current one).
+fn read_version(r: &mut impl Read) -> io::Result<u32> {
+    let mut magic = [0u8; 4];
+    r.read_exact(&mut magic)?;
+    if &magic != MAGIC {
+        return Err(bad("bad magic"));
+    }
+    let version = get_u32(r)?;
+    if !(1..=VERSION).contains(&version) {
+        return Err(bad(&format!(
+            "unsupported version {version} (the newest this build knows is {VERSION})"
+        )));
+    }
+    Ok(version)
+}
+
+/// Reads the meta head: the collection, the ElemRank result and the HTML
+/// document set.
+fn read_head(r: &mut impl Read) -> io::Result<MetaHead> {
+    let collection = Collection::read_from(r)?;
+
+    let n_scores = get_u64(r)?;
+    if n_scores != collection.element_count() as u64 {
+        return Err(bad("rank vector does not match the collection"));
+    }
+    let mut scores = Vec::with_capacity(n_scores as usize);
+    for _ in 0..n_scores {
+        scores.push(get_f64(r)?);
+    }
+    let iterations = get_u32(r)? as usize;
+    let converged = get_u32(r)? != 0;
+    let residual = get_f64(r)?;
+    let ranks = RankResult { scores, iterations, converged, residual };
+
+    let n_html = get_u32(r)?;
+    let mut html_docs = HashSet::with_capacity(n_html.min(1 << 20) as usize);
+    for _ in 0..n_html {
+        html_docs.insert(get_u32(r)?);
+    }
+    Ok(MetaHead { collection, ranks, html_docs })
 }
 
 impl<S: PageStore> XRankEngine<S> {
@@ -145,64 +228,63 @@ impl XRankEngine<FileStore> {
     /// ignored in favor of what is on disk).
     pub fn open(dir: impl AsRef<Path>, config: EngineConfig) -> io::Result<Self> {
         let dir = dir.as_ref();
-        // Resolution order mirrors the commit protocol: the live store,
-        // then the pre-commit snapshot a crash may have stranded, then the
-        // legacy layout (meta beside the store directory).
-        let candidates = [
-            (dir.join(STORE_DIR), dir.join(STORE_DIR).join(META_FILE)),
-            (dir.join(STORE_OLD), dir.join(STORE_OLD).join(META_FILE)),
-            (dir.join(STORE_DIR), dir.join(META_FILE)),
-        ];
-        let Some((store_dir, meta_path)) =
-            candidates.into_iter().find(|(_, meta)| meta.is_file())
-        else {
+        let Some(meta_path) = committed_metas(dir).into_iter().find(|meta| meta.is_file()) else {
+            if dir.join(META_FILE).is_file() {
+                return Err(bad(&format!(
+                    "{} is a v1 layout (meta beside {STORE_DIR}/); rebuild it with \
+                     `xrank migrate`",
+                    dir.display()
+                )));
+            }
             return Err(io::Error::new(
                 io::ErrorKind::NotFound,
                 format!(
-                    "no xrank index under {}: expected {STORE_DIR}/{META_FILE}, \
-                     {STORE_OLD}/{META_FILE}, or legacy {META_FILE}",
+                    "no xrank index under {}: expected {STORE_DIR}/{META_FILE} or \
+                     {STORE_OLD}/{META_FILE}",
                     dir.display()
                 ),
             ));
         };
-        Self::open_at(&store_dir, &meta_path, config)
+        Self::open_at(&meta_path, config)
     }
 
-    fn open_at(store_dir: &Path, meta_path: &Path, config: EngineConfig) -> io::Result<Self> {
+    /// Rebuilds the indexes of an engine directory written by any meta
+    /// version (the v1 layout with the meta beside `store/` included) into
+    /// the current format, and commits them through the crash-safe store
+    /// swap. Only the meta head is read — collection, ElemRank vector and
+    /// HTML set — so no old index page is decoded and rankings are
+    /// unchanged. `config` decides which indexes are built
+    /// (`with_rdil`/`with_naive`) and their `weighting`, exactly as for
+    /// [`crate::EngineBuilder`].
+    pub fn migrate(dir: impl AsRef<Path>, config: EngineConfig) -> io::Result<Self> {
+        let dir = dir.as_ref();
+        // Also the v1 location, beside the store directory.
+        let mut candidates = committed_metas(dir).into_iter().chain([dir.join(META_FILE)]);
+        let Some(meta_path) = candidates.find(|meta| meta.is_file()) else {
+            return Err(io::Error::new(
+                io::ErrorKind::NotFound,
+                format!("no xrank index to migrate under {}", dir.display()),
+            ));
+        };
+        let mut r = BufReader::new(std::fs::File::open(&meta_path)?);
+        read_version(&mut r)?;
+        let head = read_head(&mut r)?;
+        build_committed(dir, |store| {
+            XRankEngine::build_indexes(config, head.collection, head.ranks, head.html_docs, store)
+        })
+    }
+
+    /// Opens the store directory holding `meta_path`.
+    fn open_at(meta_path: &Path, config: EngineConfig) -> io::Result<Self> {
         let mut r = BufReader::new(std::fs::File::open(meta_path)?);
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(bad("bad magic"));
-        }
-        let version = get_u32(&mut r)?;
-        if !(OLDEST_READABLE_VERSION..=VERSION).contains(&version) {
+        let version = read_version(&mut r)?;
+        if version != VERSION {
             return Err(bad(&format!(
-                "unsupported version {version} (this build reads \
-                 {OLDEST_READABLE_VERSION}..={VERSION})"
+                "version {version} is no longer opened (this build reads {VERSION}); \
+                 rebuild the index with `xrank migrate`"
             )));
         }
-
-        let collection = Collection::read_from(&mut r)?;
-
-        let n_scores = get_u64(&mut r)?;
-        if n_scores != collection.element_count() as u64 {
-            return Err(bad("rank vector does not match the collection"));
-        }
-        let mut scores = Vec::with_capacity(n_scores as usize);
-        for _ in 0..n_scores {
-            scores.push(get_f64(&mut r)?);
-        }
-        let iterations = get_u32(&mut r)? as usize;
-        let converged = get_u32(&mut r)? != 0;
-        let residual = get_f64(&mut r)?;
-        let ranks = RankResult { scores, iterations, converged, residual };
-
-        let n_html = get_u32(&mut r)?;
-        let mut html_docs = HashSet::with_capacity(n_html as usize);
-        for _ in 0..n_html {
-            html_docs.insert(get_u32(&mut r)?);
-        }
+        let MetaHead { collection, ranks, html_docs } = read_head(&mut r)?;
 
         let hdil = HdilIndex::read_meta(&mut r)?;
         let rdil = match get_u32(&mut r)? {
@@ -219,7 +301,7 @@ impl XRankEngine<FileStore> {
             k => return Err(bad(&format!("bad naive tag {k}"))),
         };
 
-        let store = FileStore::open(store_dir)?;
+        let store = FileStore::open(meta_path.parent().expect("meta path has a parent"))?;
         // Full checksum scan: a bit-flipped or truncated segment fails the
         // open with a descriptive error instead of surfacing mid-query.
         store.verify().map_err(io::Error::from)?;

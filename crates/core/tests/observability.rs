@@ -87,8 +87,8 @@ fn worked_example_trace_stage_set_matches_processor() {
                 // HDIL always starts on the rank-sorted phase; whether it
                 // ends there or falls back, the trace says which.
                 assert!(trace.has_stage(Stage::TaLoop));
-                assert_eq!(res.eval.switched_to_dil, trace.has_stage(Stage::DilFallback));
-                assert_eq!(res.eval.switched_to_dil, trace.switch_event().is_some());
+                assert_eq!(res.eval.switch.is_some(), trace.has_stage(Stage::DilFallback));
+                assert_eq!(res.eval.switch.is_some(), trace.switch_event().is_some());
             }
             Strategy::NaiveId => {
                 assert!(trace.has_stage(Stage::MergeJoin));
@@ -115,7 +115,7 @@ fn hdil_switch_records_both_cost_estimates() {
     let e = uncorrelated_engine();
     let opts = QueryOptions { top_m: 5, ..e.config().query.clone() };
     let res = e.query_traced("alpha beta", Strategy::Hdil, &opts).unwrap();
-    assert!(res.eval.switched_to_dil, "uncorrelated keywords must fall back");
+    assert!(res.eval.switch.is_some(), "uncorrelated keywords must fall back");
     let trace = res.trace.as_ref().unwrap();
     assert!(trace.has_stage(Stage::DilFallback));
 

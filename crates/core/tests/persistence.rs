@@ -217,16 +217,74 @@ fn crash_between_save_and_rename_leaves_previous_index_openable() {
 }
 
 #[test]
-fn legacy_v1_layout_still_opens() {
-    let dir = tempdir("legacy");
+fn huge_count_in_meta_is_an_error_not_an_abort() {
+    let dir = tempdir("hugecount");
     drop(build_persistent(&dir, false));
-    // Reshape into the pre-crash-safety layout: meta beside the store dir.
+    let meta = dir.join("store").join("xrank-meta.bin");
+    let mut bytes = std::fs::read(&meta).unwrap();
+    // Engine magic + version, collection magic + version, then its doc
+    // count: claim u32::MAX documents.
+    bytes[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+    std::fs::write(&meta, &bytes).unwrap();
+    assert!(XRankEngine::open(&dir, EngineConfig::default()).is_err());
+    assert!(XRankEngine::migrate(&dir, EngineConfig::default()).is_err());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn legacy_layout_is_refused_then_migrates_with_identical_hits() {
+    let dir = tempdir("legacy");
+    let built = build_persistent(&dir, false);
+    let expected = built.search("xql language", 10).unwrap();
+    assert!(!expected.hits.is_empty());
+    drop(built);
+    // Reshape into the v1 layout: meta beside the store dir.
     std::fs::rename(
         dir.join("store").join("xrank-meta.bin"),
         dir.join("xrank-meta.bin"),
     )
     .unwrap();
+    let err = XRankEngine::open(&dir, EngineConfig::default()).err().expect("must be refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("xrank migrate"), "{err}");
+
+    drop(XRankEngine::migrate(&dir, EngineConfig::default()).unwrap());
+    assert!(!dir.join("xrank-meta.bin").exists(), "the v1-layout meta is superseded");
     let e = XRankEngine::open(&dir, EngineConfig::default()).unwrap();
-    assert!(!e.search("xql language", 10).unwrap().hits.is_empty());
+    let got = e.search("xql language", 10).unwrap();
+    assert_eq!(got.hits.len(), expected.hits.len());
+    for (a, b) in expected.hits.iter().zip(got.hits.iter()) {
+        assert_eq!(a.dewey, b.dewey);
+        assert_eq!(a.score.to_bits(), b.score.to_bits());
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn migrate_recovers_a_store_stranded_between_the_renames() {
+    let dir = tempdir("migrate-crash");
+    let built = build_persistent(&dir, false);
+    let expected = built.search("xql language", 10).unwrap();
+    drop(built);
+    // Killed between the two commit renames: only store.old holds an index.
+    std::fs::rename(dir.join("store"), dir.join("store.old")).unwrap();
+    drop(XRankEngine::migrate(&dir, EngineConfig::default()).unwrap());
+    assert!(!dir.join("store.old").exists(), "the stranded index is superseded");
+    let e = XRankEngine::open(&dir, EngineConfig::default()).unwrap();
+    let got = e.search("xql language", 10).unwrap();
+    assert_eq!(got.hits.len(), expected.hits.len());
+    for (a, b) in expected.hits.iter().zip(got.hits.iter()) {
+        assert_eq!((&a.dewey, a.score.to_bits()), (&b.dewey, b.score.to_bits()));
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn migrate_of_a_missing_index_is_not_found() {
+    let dir = tempdir("migrate-missing");
+    std::fs::create_dir_all(&dir).unwrap();
+    let err = XRankEngine::migrate(&dir, EngineConfig::default()).err().expect("nothing to migrate");
+    assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
+    assert!(!dir.join("store").exists(), "a failed migrate writes nothing");
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -1,16 +1,17 @@
-//! Back-compat: stores written by the v1 (uncompressed) list format must
-//! keep opening and serving identical results after the v2 block-compressed
-//! format landed.
+//! Old stores: an index written before the current on-disk format must be
+//! refused by `open` with a pointer to `xrank migrate`, and migrating it
+//! must reproduce the rankings it served when it was written.
 //!
-//! The fixture under `tests/fixtures/v1_store/` was generated by
-//! `generate_v1_fixture` while the v1 writers were still in the tree
-//! (pre-format-bump); `expected.txt` records every hit each strategy
-//! returned at generation time (score as exact f64 bits). Do NOT re-run the
-//! generator with current code — it would overwrite the fixture with a
-//! current-format store and turn this suite into a self-test. It stays
-//! `#[ignore]`d purely as provenance documentation.
+//! The fixture under `tests/fixtures/v1_store/` (meta v2, store `FORMAT` 2,
+//! uncompressed v1 lists) was written by the v1 list writers, which no
+//! longer exist, over a 42-document corpus (`w1`, `w2` and `d0`..`d39`)
+//! built with `with_rdil` and `with_naive`. `expected.txt` records every
+//! hit each strategy returned at generation time (score as exact f64
+//! bits). The test works on a temporary copy, so the fixture itself is
+//! never modified.
 
-use xrank_core::{EngineBuilder, EngineConfig, Strategy, XRankEngine};
+use std::path::{Path, PathBuf};
+use xrank_core::{EngineConfig, Strategy, XRankEngine};
 use xrank_query::QueryOptions;
 
 const QUERIES: &[&str] = &["xql language", "xql", "language", "ricardo xml", "workshop"];
@@ -23,36 +24,21 @@ const STRATEGIES: &[(Strategy, &str)] = &[
     (Strategy::NaiveRank, "naive_rank"),
 ];
 
-fn fixture_dir() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v1_store")
+fn fixture_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v1_store")
 }
 
-fn corpus() -> Vec<(String, String)> {
-    let mut docs = vec![
-        (
-            "w1".to_string(),
-            "<workshop><wtitle>XML and IR a Workshop</wtitle><proceedings>\
-             <paper><title>XQL and Proximal Nodes</title>\
-             <abstract>We consider the recently proposed language</abstract>\
-             <body><section><subsection>At first sight the XQL query language looks</subsection>\
-             </section></body></paper>\
-             <paper><title>Querying XML in Xyleme language</title>\
-             <body>ricardo writes about xml storage</body></paper>\
-             </proceedings></workshop>"
-                .to_string(),
-        ),
-        ("w2".to_string(), "<note><text>ricardo reviews the xml workshop notes</text></note>".to_string()),
-    ];
-    for i in 0..40 {
-        docs.push((
-            format!("d{i}"),
-            format!(
-                "<doc><h>xml section {i}</h><p>language feature {} and xql usage {i}</p></doc>",
-                i % 7
-            ),
-        ));
+fn copy_dir(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        let dest = to.join(entry.file_name());
+        if entry.file_type().unwrap().is_dir() {
+            copy_dir(&entry.path(), &dest);
+        } else {
+            std::fs::copy(entry.path(), dest).unwrap();
+        }
     }
-    docs
 }
 
 fn run_queries(engine: &XRankEngine<xrank_storage::FileStore>) -> Vec<String> {
@@ -69,42 +55,28 @@ fn run_queries(engine: &XRankEngine<xrank_storage::FileStore>) -> Vec<String> {
     lines
 }
 
-/// One-shot fixture generator — see module docs. Ran against the v1
-/// writers only.
 #[test]
-#[ignore]
-fn generate_v1_fixture() {
-    let dir = fixture_dir();
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let mut b = EngineBuilder::with_config(EngineConfig {
-        with_rdil: true,
-        with_naive: true,
-        ..Default::default()
-    });
-    for (uri, xml) in corpus() {
-        b.add_xml(&uri, &xml).unwrap();
-    }
-    let engine = b.build_persistent(&dir).unwrap();
-    let lines = run_queries(&engine);
-    assert!(!lines.is_empty());
-    std::fs::write(dir.join("expected.txt"), lines.join("\n") + "\n").unwrap();
-}
-
-#[test]
-fn v1_store_opens_and_serves_identical_results() {
-    let dir = fixture_dir();
-    let expected = std::fs::read_to_string(dir.join("expected.txt"))
+fn v1_store_is_refused_then_migrates_to_identical_results() {
+    let expected = std::fs::read_to_string(fixture_dir().join("expected.txt"))
         .expect("v1 fixture missing — see module docs");
+    let dir = std::env::temp_dir().join(format!("xrank-v1-compat-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    copy_dir(&fixture_dir(), &dir);
+
+    let err = XRankEngine::open(&dir, EngineConfig::default()).err().expect("must be refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("xrank migrate"), "{err}");
+
+    let config = EngineConfig { with_rdil: true, with_naive: true, ..Default::default() };
+    drop(XRankEngine::migrate(&dir, config).unwrap());
     let engine = XRankEngine::open(&dir, EngineConfig::default()).unwrap();
     let got = run_queries(&engine);
     let want: Vec<&str> = expected.lines().collect();
-    assert_eq!(
-        got.len(),
-        want.len(),
-        "v1 store returned a different number of hits"
-    );
+    assert_eq!(want.len(), 185, "fixture expectations changed");
+    assert_eq!(got.len(), want.len(), "migrated store returned a different number of hits");
     for (g, w) in got.iter().zip(want.iter()) {
-        assert_eq!(g, w, "v1 store result diverged");
+        assert_eq!(g, w, "migrated store result diverged");
     }
+    drop(engine);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

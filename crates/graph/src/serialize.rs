@@ -130,7 +130,7 @@ impl Collection {
         }
 
         let n_docs = get_u32(r)?;
-        let mut docs = Vec::with_capacity(n_docs as usize);
+        let mut docs = Vec::with_capacity(n_docs.min(1 << 20) as usize);
         for _ in 0..n_docs {
             docs.push(DocInfo {
                 uri: get_str(r)?,
@@ -153,7 +153,7 @@ impl Collection {
         let unresolved_links = get_u32(r)?;
 
         let n_elements = get_u32(r)?;
-        let mut elements: Vec<Element> = Vec::with_capacity(n_elements as usize);
+        let mut elements: Vec<Element> = Vec::with_capacity(n_elements.min(1 << 20) as usize);
         for id in 0..n_elements {
             let doc = get_u32(r)?;
             if doc >= n_docs {
@@ -170,7 +170,7 @@ impl Collection {
             };
 
             let n_tokens = get_varint(r)?;
-            let mut tokens = Vec::with_capacity(n_tokens as usize);
+            let mut tokens = Vec::with_capacity(n_tokens.min(1 << 20) as usize);
             let mut pos = 0u32;
             for i in 0..n_tokens {
                 let term = get_varint(r)?;
@@ -183,7 +183,7 @@ impl Collection {
             }
 
             let n_links = get_varint(r)?;
-            let mut links_out = Vec::with_capacity(n_links as usize);
+            let mut links_out = Vec::with_capacity(n_links.min(1 << 20) as usize);
             for _ in 0..n_links {
                 let l = get_varint(r)?;
                 if l >= n_elements {

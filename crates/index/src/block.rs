@@ -1,7 +1,7 @@
-//! v2 block codec for compressed posting pages, plus the per-list skip
+//! Block codec for compressed posting pages, plus the per-list skip
 //! table that makes the blocks seekable.
 //!
-//! A v2 list page body is a run of *blocks*:
+//! A list page body is a run of *blocks*:
 //! `[count: varint ≤ 127] [rank_n: varint] [f32 LE × rank_n]` followed by
 //! `count` entries whose Dewey IDs are delta-encoded against the previous
 //! entry *in the same block* (the first entry of every block is a
@@ -13,8 +13,8 @@
 //! its `max_rank` without touching the page.
 //!
 //! The entry header packs the delta description into a single byte for
-//! the common case. Where v1 spent two varints (shared prefix length +
-//! suffix length, each typically one byte), v2 packs both into one
+//! the common case. Instead of two varints (shared prefix length +
+//! suffix length, each typically one byte), it packs both into one
 //! ordered varint `h = (min(suffix_len, 15) << 3) | min(shared, 7)`:
 //! `h ≤ 127` always encodes as one byte, and the rare deep/long cases
 //! escape — a shared field of 7 means the true shared length follows as
@@ -24,7 +24,7 @@
 //! differ first in the document ordinal, whose *gap* is small); remaining
 //! components are absolute varints. Rank bit patterns are stored exactly
 //! (rankings must be bit-identical to the uncompressed path); positions
-//! keep the v1 delta-varint form.
+//! keep the delta-varint form of [`posting::encode_positions`].
 
 use crate::posting::{self, Posting};
 use xrank_dewey::codec::{self, DecodeError};
@@ -78,7 +78,7 @@ fn read_zigzag(buf: &[u8]) -> Result<(i64, usize), DecodeError> {
 }
 
 /// Encodes `cur` against `prev` (the previous entry in the block; `None`
-/// at a block restart) using the packed v2 header. The first suffix
+/// at a block restart) using the packed header. The first suffix
 /// component is written as a zigzag delta against `prev`'s component at
 /// the same depth when one exists — adjacent entries in a Dewey-sorted
 /// list differ first in the document ordinal, whose gap is tiny compared
@@ -128,7 +128,7 @@ pub fn dewey_len(prev: Option<&DeweyId>, cur: &DeweyId) -> usize {
     len
 }
 
-/// Decodes one v2 Dewey delta. Inverse of [`encode_dewey`].
+/// Decodes one Dewey delta. Inverse of [`encode_dewey`].
 pub fn decode_dewey(prev: Option<&DeweyId>, buf: &[u8]) -> Result<(DeweyId, usize), DecodeError> {
     let (h, mut off) = codec::read_component(buf)?;
     let mut shared = h & 7;
@@ -230,7 +230,7 @@ impl RankDict {
     }
 }
 
-/// Encodes one v2 posting entry: Dewey delta, rank-dictionary index, then
+/// Encodes one posting entry: Dewey delta, rank-dictionary index, then
 /// the positions payload. The rank is interned into `dict` (written once
 /// per distinct rank in the block prefix, not per entry).
 pub fn encode_entry(prev: Option<&DeweyId>, p: &Posting, dict: &mut RankDict, out: &mut Vec<u8>) {
@@ -246,8 +246,8 @@ pub fn entry_len(prev: Option<&DeweyId>, p: &Posting) -> usize {
     dewey_len(prev, &p.dewey) + 1 + posting::positions_len(&p.positions)
 }
 
-/// Decodes one v2 posting entry against the block's rank dictionary
-/// (`elem` comes back as 0, as in v1).
+/// Decodes one posting entry against the block's rank dictionary
+/// (`elem` comes back as 0: disk entries do not carry the dense id).
 pub fn decode_entry(
     prev: Option<&DeweyId>,
     ranks: &[f32],

@@ -6,7 +6,7 @@
 //! ancestors are implicit in the Dewey encoding, the list is much smaller
 //! than the naive one — Table 1's headline result.
 
-use crate::listio::{self, DeweyListWrite, ListInfo, ListKind, ListMeta, ListReader};
+use crate::listio::{self, DeweyListWrite, ListInfo, ListMeta, ListReader};
 use crate::posting::Posting;
 use crate::SpaceBreakdown;
 use xrank_graph::TermId;
@@ -90,7 +90,7 @@ impl DilIndex {
     /// Streaming reader over a term's list (Dewey order).
     pub fn reader(&self, term: TermId) -> Option<ListReader> {
         self.info(term)
-            .map(|info| ListReader::new(self.segment, info, ListKind::Dewey))
+            .map(|info| ListReader::new(self.segment, info))
     }
 
     /// Table 1 space: DIL is lists only. Byte-granular (page padding
@@ -116,7 +116,7 @@ impl DilIndex {
     pub fn flat_bytes<S: PageStore>(&self, pool: &BufferPool<S>) -> StorageResult<u64> {
         let mut total = 0u64;
         for info in self.lists.iter().flatten() {
-            let mut r = ListReader::new(self.segment, info, ListKind::Dewey);
+            let mut r = ListReader::new(self.segment, info);
             while let Some(p) = r.next(pool)? {
                 total += 4 * p.dewey.components().len() as u64
                     + 4

@@ -11,10 +11,7 @@
 //! RDIL's while its *list* column is only slightly larger than DIL's.
 
 use crate::dil::DilIndex;
-use crate::listio::{
-    self, decode_dewey_page, decode_dewey_page_pinned, ListFormat, ListInfo, ListKind, ListMeta,
-    ListReader,
-};
+use crate::listio::{self, decode_dewey_page_pinned, ListInfo, ListMeta, ListReader};
 use crate::posting::Posting;
 use crate::rdil::rank_order;
 use crate::SpaceBreakdown;
@@ -23,9 +20,9 @@ use xrank_graph::TermId;
 use xrank_storage::btree::{CursorStats, Interior, MAX_SIBLING_HOPS};
 use xrank_storage::{BufferPool, PageId, PageStore, SegmentId, StorageResult, PAGE_SIZE};
 
-/// A located Dewey-list entry: list meta, page format, page offset, slot
-/// index within the decoded page, and the page's postings.
-type LocatedEntry = (ListMeta, ListFormat, u32, usize, Vec<Posting>);
+/// A located Dewey-list entry: list meta, page offset, slot index within
+/// the decoded page, and the page's postings.
+type LocatedEntry = (ListMeta, u32, usize, Vec<Posting>);
 
 /// Fraction of each list stored rank-sorted (the "small fraction of the
 /// inverted list sorted by rank" of Section 4.4.1).
@@ -126,7 +123,7 @@ impl HdilIndex {
         self.prefix_lists
             .get(term.index())
             .and_then(|i| i.as_ref())
-            .map(|info| ListReader::new(self.prefix_segment, info, ListKind::Rank))
+            .map(|info| ListReader::new(self.prefix_segment, info))
     }
 
     /// Entries in the rank-sorted prefix of `term`.
@@ -150,19 +147,19 @@ impl HdilIndex {
         else {
             return Ok(None);
         };
-        let (meta, format) = (info.meta, info.format);
+        let meta = info.meta;
         let key = codec::encode_id(target);
         let mut page_off = interior.descend(pool, &key)?;
         loop {
             // Decode straight off the pinned frame — no staging copy.
             let page = pool.read(PageId::new(self.dil.segment, page_off))?;
-            let postings = decode_dewey_page_pinned(&page, format)?;
+            let postings = decode_dewey_page_pinned(&page)?;
             if let Some(slot) = postings.iter().position(|p| &p.dewey >= target) {
-                return Ok(Some((meta, format, page_off, slot, postings)));
+                return Ok(Some((meta, page_off, slot, postings)));
             }
             // Everything on this page sorts below target: advance.
             if page_off + 1 >= meta.start_page + meta.page_count {
-                return Ok(Some((meta, format, page_off, postings.len(), postings)));
+                return Ok(Some((meta, page_off, postings.len(), postings)));
             }
             page_off += 1;
         }
@@ -176,8 +173,7 @@ impl HdilIndex {
         term: TermId,
         target: &DeweyId,
     ) -> StorageResult<(Option<Posting>, Option<Posting>)> {
-        let Some((meta, format, page_off, slot, postings)) = self.locate(pool, term, target)?
-        else {
+        let Some((meta, page_off, slot, postings)) = self.locate(pool, term, target)? else {
             return Ok((None, None));
         };
         let entry = postings.get(slot).cloned();
@@ -185,7 +181,7 @@ impl HdilIndex {
             postings.get(slot - 1).cloned()
         } else if page_off > meta.start_page {
             let prev = pool.read(PageId::new(self.dil.segment, page_off - 1))?;
-            decode_dewey_page_pinned(&prev, format)?.pop()
+            decode_dewey_page_pinned(&prev)?.pop()
         } else {
             None
         };
@@ -202,7 +198,7 @@ impl HdilIndex {
             self.dil.info(term),
             self.interiors.get(term.index()).copied().flatten(),
         ) {
-            (Some(info), Some(interior)) => Some((info.meta, info.format, interior)),
+            (Some(info), Some(interior)) => Some((info.meta, interior)),
             _ => None,
         };
         HdilProbeCursor {
@@ -215,14 +211,13 @@ impl HdilIndex {
 
     /// All postings of `term` whose Dewey has `prefix` as a prefix.
     ///
-    /// v2 lists answer this from the in-memory skip table: jump straight
-    /// to the block that can contain `prefix` (no interior descent, no
-    /// page touched outside the subtree's range) and decode entries until
-    /// the first one past the subtree — descendants are contiguous in
-    /// Dewey order, so that entry ends the scan. This is the TA loop's
-    /// `range_scan` hot path; block granularity (≤ 127 entries) is what
-    /// keeps each candidate check from decoding whole pages. v1 lists
-    /// keep the interior-descent page walk.
+    /// Answered from the in-memory skip table: jump straight to the block
+    /// that can contain `prefix` (no interior descent, no page touched
+    /// outside the subtree's range) and decode entries until the first one
+    /// past the subtree — descendants are contiguous in Dewey order, so
+    /// that entry ends the scan. This is the TA loop's `range_scan` hot
+    /// path; block granularity (≤ 127 entries) is what keeps each
+    /// candidate check from decoding whole pages.
     pub fn prefix_postings<S: PageStore>(
         &self,
         pool: &BufferPool<S>,
@@ -232,41 +227,16 @@ impl HdilIndex {
         let Some(info) = self.dil.info(term) else {
             return Ok(Vec::new());
         };
-        if info.format == ListFormat::V2 {
-            let mut r = ListReader::new(self.dil.segment, info, ListKind::Dewey);
-            r.next_seek(pool, prefix)?;
-            let mut out = Vec::new();
-            while let Some(p) = r.peek(pool)? {
-                if !prefix.is_ancestor_or_self_of(&p.dewey) {
-                    break;
-                }
-                out.push(r.next(pool)?.expect("peeked entry present"));
-            }
-            return Ok(out);
-        }
-        let Some((meta, format, mut page_off, mut slot, mut postings)) =
-            self.locate(pool, term, prefix)?
-        else {
-            return Ok(Vec::new());
-        };
+        let mut r = ListReader::new(self.dil.segment, info);
+        r.next_seek(pool, prefix)?;
         let mut out = Vec::new();
-        loop {
-            while slot < postings.len() {
-                let p = &postings[slot];
-                if !prefix.is_ancestor_or_self_of(&p.dewey) {
-                    return Ok(out);
-                }
-                out.push(p.clone());
-                slot += 1;
+        while let Some(p) = r.peek(pool)? {
+            if !prefix.is_ancestor_or_self_of(&p.dewey) {
+                break;
             }
-            page_off += 1;
-            if page_off >= meta.start_page + meta.page_count {
-                return Ok(out);
-            }
-            let page = pool.read(PageId::new(self.dil.segment, page_off))?;
-            postings = decode_dewey_page(&page, format)?;
-            slot = 0;
+            out.push(r.next(pool)?.expect("peeked entry present"));
         }
+        Ok(out)
     }
 
     /// Serializes the index directory.
@@ -296,7 +266,7 @@ impl HdilIndex {
         let dil = DilIndex::read_meta(r)?;
         let interior_segment = SegmentId(get_u32(r)?);
         let n = get_u32(r)?;
-        let mut interiors = Vec::with_capacity(n as usize);
+        let mut interiors = Vec::with_capacity(n.min(1 << 20) as usize);
         for _ in 0..n {
             interiors.push(match get_u32(r)? {
                 0 => None,
@@ -342,8 +312,8 @@ impl HdilIndex {
 #[derive(Debug, Clone)]
 pub struct HdilProbeCursor {
     segment: SegmentId,
-    /// The term's list + page format + interior; `None` for absent terms.
-    located: Option<(ListMeta, ListFormat, Interior)>,
+    /// The term's list + interior; `None` for absent terms.
+    located: Option<(ListMeta, Interior)>,
     /// Decoded current page: `(page offset, postings)`.
     current: Option<(u32, Vec<Posting>)>,
     stats: CursorStats,
@@ -362,7 +332,7 @@ impl HdilProbeCursor {
         pool: &BufferPool<S>,
         target: &DeweyId,
     ) -> StorageResult<(Option<Posting>, Option<Posting>)> {
-        let Some((meta, format, interior)) = self.located else {
+        let Some((meta, interior)) = self.located else {
             return Ok((None, None));
         };
         self.stats.probes += 1;
@@ -382,7 +352,7 @@ impl HdilProbeCursor {
                 let mut hops = 0u32;
                 let mut reachable = true;
                 while off < last_page && hops < MAX_SIBLING_HOPS {
-                    let postings = self.decoded_page(pool, off, format)?;
+                    let postings = self.decoded_page(pool, off)?;
                     if postings.last().is_some_and(|p| p.dewey >= *target) {
                         break;
                     }
@@ -391,7 +361,7 @@ impl HdilProbeCursor {
                 }
                 if off < last_page && hops >= MAX_SIBLING_HOPS {
                     // Re-check: did the walk actually reach a covering page?
-                    let postings = self.decoded_page(pool, off, format)?;
+                    let postings = self.decoded_page(pool, off)?;
                     reachable = postings.last().is_some_and(|p| p.dewey >= *target);
                 }
                 if reachable {
@@ -413,7 +383,7 @@ impl HdilProbeCursor {
         // (same forward scan `locate` does); walk until covered or last.
         if descended {
             while page_off < last_page {
-                let postings = self.decoded_page(pool, page_off, format)?;
+                let postings = self.decoded_page(pool, page_off)?;
                 if postings.last().is_some_and(|p| p.dewey >= *target) {
                     break;
                 }
@@ -421,14 +391,14 @@ impl HdilProbeCursor {
             }
         }
 
-        let postings = self.decoded_page(pool, page_off, format)?;
+        let postings = self.decoded_page(pool, page_off)?;
         let slot = postings.partition_point(|p| p.dewey < *target);
         let entry = postings.get(slot).cloned();
         let pred = if slot > 0 {
             postings.get(slot - 1).cloned()
         } else if page_off > meta.start_page {
             let prev = pool.read(PageId::new(self.segment, page_off - 1))?;
-            decode_dewey_page_pinned(&prev, format)?.pop()
+            decode_dewey_page_pinned(&prev)?.pop()
         } else {
             None
         };
@@ -441,12 +411,11 @@ impl HdilProbeCursor {
         &mut self,
         pool: &BufferPool<S>,
         page_off: u32,
-        format: ListFormat,
     ) -> StorageResult<&Vec<Posting>> {
         let cached = matches!(&self.current, Some((off, _)) if *off == page_off);
         if !cached {
             let page = pool.read(PageId::new(self.segment, page_off))?;
-            self.current = Some((page_off, decode_dewey_page_pinned(&page, format)?));
+            self.current = Some((page_off, decode_dewey_page_pinned(&page)?));
         }
         Ok(&self.current.as_ref().expect("page just cached").1)
     }

@@ -1,28 +1,21 @@
 //! Packing posting lists into pages and streaming them back.
 //!
-//! v2 (current) page layout: `[crc: u32]` (CRC-32 of bytes 4..PAGE_SIZE,
-//! i.e. everything after the checksum itself, slack included), `[n: u16]`
-//! total entries, then a run of *blocks* — `[count: varint ≤ 127]`, the
-//! block's rank dictionary, and `count` entries whose Dewey IDs are
-//! delta-encoded against the previous entry in the same block and whose
-//! ranks are one-byte dictionary indexes (see [`crate::block`]). The
-//! checksum is verified once per page pin, so corruption that slips past
-//! (or occurs above) the store's own trailer — bad RAM, a flipped bus
-//! line — surfaces as a typed [`StorageError`] on exactly the queries
-//! that touch the page instead of silently perturbing delta decoding.
-//! The first entry of every block is a
-//! restart, so any page is still decodable in isolation — the property
-//! HDIL exploits when its B+-tree descends into the middle of a list
-//! (Section 4.4.1) — while the per-list [`SkipTable`] (one entry per
-//! block: first key, exact max rank, page/byte offset) lets readers jump
-//! over whole blocks without decoding them. Rank-ordered lists use the
-//! same block deltas (v1 encoded every Dewey in full there).
-//!
-//! v1 pages (`[n: u16]` + entries with per-*page* delta restarts, naive
-//! lists with per-page elta restarts, rank lists full-Dewey) remain fully
-//! readable: a [`ListInfo`] carries the [`ListFormat`] and readers pick
-//! the decode path per list, so stores persisted before the format bump
-//! keep serving unchanged.
+//! Page layout (list-table tag 2): `[crc: u32]` (CRC-32 of bytes
+//! 4..PAGE_SIZE, i.e. everything after the checksum itself, slack
+//! included), `[n: u16]` total entries, then a run of *blocks* —
+//! `[count: varint ≤ 127]`, the block's rank dictionary, and `count`
+//! entries whose Dewey IDs are delta-encoded against the previous entry
+//! in the same block and whose ranks are one-byte dictionary indexes (see
+//! [`crate::block`]). The checksum is verified once per page pin, so
+//! corruption that slips past (or occurs above) the store's own trailer —
+//! bad RAM, a flipped bus line — surfaces as a typed [`StorageError`] on
+//! exactly the queries that touch the page instead of silently perturbing
+//! delta decoding. The first entry of every block is a restart, so any
+//! page is still decodable in isolation — the property HDIL exploits when
+//! its B+-tree descends into the middle of a list (Section 4.4.1) — while
+//! the per-list [`SkipTable`] (one entry per block: first key, exact max
+//! rank, page/byte offset) lets readers jump over whole blocks without
+//! decoding them. Rank-ordered lists use the same block deltas.
 //!
 //! Lists are written as contiguous page runs inside a shared segment; the
 //! buffer pool's per-stream readahead model then charges a full-list scan
@@ -34,17 +27,16 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use xrank_dewey::codec;
 use xrank_dewey::DeweyId;
-use xrank_storage::wire::SliceReader;
 use xrank_storage::{
     crc32, wire, BufferPool, PageId, PageRef, PageStore, SegmentId, StorageError, StorageResult,
     PAGE_SIZE,
 };
 
-/// v2 page header: `[crc: u32][n: u16]`; blocks start here.
-const V2_PAGE_HEADER: usize = 6;
-/// Offset of the entry-count field inside a v2 page (the checksum covers
+/// Page header: `[crc: u32][n: u16]`; blocks start here.
+const PAGE_HEADER: usize = 6;
+/// Offset of the entry-count field inside a page (the checksum covers
 /// everything from here to the end of the page).
-const V2_COUNT_OFF: usize = 4;
+const COUNT_OFF: usize = 4;
 
 /// Location of one term's list inside its segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,32 +53,14 @@ pub struct ListMeta {
     pub used_bytes: u64,
 }
 
-/// On-disk encoding of a list's pages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ListFormat {
-    /// Uncompressed pre-block format: per-page delta restarts (Dewey
-    /// lists), full Dewey per entry (rank lists), no skip table.
-    V1,
-    /// Block-compressed format with a per-block skip table.
-    V2,
-}
-
-/// Everything a reader needs to open one list: its location, its page
-/// format, and (v2) the skip table.
+/// Everything a reader needs to open one list: its location and its skip
+/// table.
 #[derive(Debug, Clone)]
 pub struct ListInfo {
     /// List location.
     pub meta: ListMeta,
-    /// Page encoding.
-    pub format: ListFormat,
-    /// Per-block skip entries; `Some` exactly for v2 lists.
-    pub skip: Option<Arc<SkipTable>>,
-}
-
-impl ListInfo {
-    fn skip_table(&self) -> &SkipTable {
-        self.skip.as_deref().expect("v2 list carries a skip table")
-    }
+    /// Per-block skip entries.
+    pub skip: Arc<SkipTable>,
 }
 
 /// `(encoded first key, global page offset)` per sealed page.
@@ -96,7 +70,7 @@ pub type PageFirsts = Vec<(Vec<u8>, u32)>;
 /// first key (used to build HDIL's interior levels).
 #[derive(Debug, Clone)]
 pub struct DeweyListWrite {
-    /// List info (meta + format + skip table).
+    /// List info (meta + skip table).
     pub info: ListInfo,
     /// `(encoded first Dewey, global page offset)` per page.
     pub page_firsts: PageFirsts,
@@ -122,8 +96,13 @@ impl ListMeta {
     }
 }
 
-/// Serializes a per-term list directory. Tag 1 = v1 list (meta only),
-/// tag 2 = v2 list (meta + skip table).
+/// List-table tag of an absent list.
+const TAG_NONE: u32 = 0;
+/// List-table tag of a block-compressed list (meta + skip table). Tag 1
+/// marked the uncompressed pre-block format, which is no longer read.
+const TAG_BLOCKS: u32 = 2;
+
+/// Serializes a per-term list directory.
 pub fn write_list_table<W: std::io::Write>(
     w: &mut W,
     lists: &[Option<ListInfo>],
@@ -131,123 +110,96 @@ pub fn write_list_table<W: std::io::Write>(
     wire::put_u32(w, lists.len() as u32)?;
     for entry in lists {
         match entry {
-            Some(info) => match info.format {
-                ListFormat::V1 => {
-                    wire::put_u32(w, 1)?;
-                    info.meta.write_meta(w)?;
-                }
-                ListFormat::V2 => {
-                    wire::put_u32(w, 2)?;
-                    info.meta.write_meta(w)?;
-                    info.skip_table().write(w)?;
-                }
-            },
-            None => wire::put_u32(w, 0)?,
+            Some(info) => {
+                wire::put_u32(w, TAG_BLOCKS)?;
+                info.meta.write_meta(w)?;
+                info.skip.write(w)?;
+            }
+            None => wire::put_u32(w, TAG_NONE)?,
         }
     }
     Ok(())
 }
 
-/// Deserializes a per-term list directory (both v1 and v2 entries).
+/// Deserializes a per-term list directory written by [`write_list_table`].
 pub fn read_list_table<R: std::io::Read>(r: &mut R) -> std::io::Result<Vec<Option<ListInfo>>> {
     let n = wire::get_u32(r)?;
-    let mut out = Vec::with_capacity(n as usize);
+    let mut out = Vec::with_capacity(n.min(1 << 20) as usize);
     for _ in 0..n {
         out.push(match wire::get_u32(r)? {
-            0 => None,
-            1 => Some(ListInfo {
+            TAG_NONE => None,
+            TAG_BLOCKS => Some(ListInfo {
                 meta: ListMeta::read_meta(r)?,
-                format: ListFormat::V1,
-                skip: None,
-            }),
-            2 => Some(ListInfo {
-                meta: ListMeta::read_meta(r)?,
-                format: ListFormat::V2,
-                skip: Some(Arc::new(SkipTable::read(r)?)),
+                skip: Arc::new(SkipTable::read(r)?),
             }),
             k => {
+                let hint = if k == 1 {
+                    " (an uncompressed pre-block list; rebuild with `xrank migrate`)"
+                } else {
+                    ""
+                };
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::InvalidData,
-                    format!("bad list-table tag {k}"),
-                ))
+                    format!("bad list-table tag {k}{hint}"),
+                ));
             }
         });
     }
     Ok(out)
 }
 
-/// v1 page scaffolding — only the test-only v1 writer still produces
-/// pages in this layout; production writers emit v2.
-#[cfg(test)]
+/// A fresh page with its 6-byte header reserved.
 fn new_page() -> Vec<u8> {
     let mut p = Vec::with_capacity(PAGE_SIZE);
-    p.extend_from_slice(&0u16.to_le_bytes());
+    p.resize(PAGE_HEADER, 0);
     p
 }
 
-#[cfg(test)]
-fn seal(page: &mut [u8], n: u16) {
-    page[0..2].copy_from_slice(&n.to_le_bytes());
-}
-
-/// A fresh v2 page with its 6-byte header reserved.
-fn new_page_v2() -> Vec<u8> {
-    let mut p = Vec::with_capacity(PAGE_SIZE);
-    p.resize(V2_PAGE_HEADER, 0);
-    p
-}
-
-/// Seals a v2 page: pads to [`PAGE_SIZE`], writes the entry count, and
+/// Seals a page: pads to [`PAGE_SIZE`], writes the entry count, and
 /// stamps the checksum over everything after the checksum field (so slack
 /// corruption is detected too).
-fn seal_v2(page: &mut Vec<u8>, n: u16) {
+fn seal(page: &mut Vec<u8>, n: u16) {
     page.resize(PAGE_SIZE, 0);
-    page[V2_COUNT_OFF..V2_PAGE_HEADER].copy_from_slice(&n.to_le_bytes());
-    let crc = crc32(&page[V2_COUNT_OFF..]);
-    page[0..V2_COUNT_OFF].copy_from_slice(&crc.to_le_bytes());
+    page[COUNT_OFF..PAGE_HEADER].copy_from_slice(&n.to_le_bytes());
+    let crc = crc32(&page[COUNT_OFF..]);
+    page[0..COUNT_OFF].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Verifies a v2 page's checksum.
-fn v2_verify(page: &[u8]) -> StorageResult<()> {
-    if page.len() < V2_PAGE_HEADER {
-        return Err(StorageError::corrupt("v2 list page shorter than its header"));
+/// Verifies a page's checksum.
+fn verify_page(page: &[u8]) -> StorageResult<()> {
+    if page.len() < PAGE_HEADER {
+        return Err(StorageError::corrupt("list page shorter than its header"));
     }
-    let stored = u32::from_le_bytes(page[0..V2_COUNT_OFF].try_into().expect("4 bytes"));
-    let computed = crc32(&page[V2_COUNT_OFF..]);
+    let stored = u32::from_le_bytes(page[0..COUNT_OFF].try_into().expect("4 bytes"));
+    let computed = crc32(&page[COUNT_OFF..]);
     if stored != computed {
         return Err(StorageError::corrupt(format!(
-            "v2 list page checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
+            "list page checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
         )));
     }
     Ok(())
 }
 
-/// Verifies a pinned v2 page's checksum only when the pin performed the
+/// Verifies a pinned page's checksum only when the pin performed the
 /// physical read: bytes served from the cache were verified when they came
 /// off the medium, so steady-state (cache-hit) decodes skip the CRC pass.
-fn v2_verify_fresh(page: &PageRef) -> StorageResult<()> {
+fn verify_fresh(page: &PageRef) -> StorageResult<()> {
     if page.fresh() {
-        v2_verify(page)
-    } else if page.len() < V2_PAGE_HEADER {
-        Err(StorageError::corrupt("v2 list page shorter than its header"))
+        verify_page(page)
+    } else if page.len() < PAGE_HEADER {
+        Err(StorageError::corrupt("list page shorter than its header"))
     } else {
         Ok(())
     }
 }
 
-/// Bounds-checked entry count of a v2 page (no checksum pass).
-fn v2_entry_count(page: &[u8]) -> StorageResult<usize> {
-    if page.len() < V2_PAGE_HEADER {
-        return Err(StorageError::corrupt("v2 list page shorter than its header"));
+/// Bounds-checked entry count of a page (no checksum pass).
+fn page_entry_count(page: &[u8]) -> StorageResult<usize> {
+    if page.len() < PAGE_HEADER {
+        return Err(StorageError::corrupt("list page shorter than its header"));
     }
-    let n = u16::from_le_bytes(page[V2_COUNT_OFF..V2_PAGE_HEADER].try_into().expect("2 bytes"));
+    let n = u16::from_le_bytes(page[COUNT_OFF..PAGE_HEADER].try_into().expect("2 bytes"));
     Ok(n as usize)
-}
-
-/// Verifies a v2 page's checksum and returns its entry count.
-fn v2_page_header(page: &[u8]) -> StorageResult<usize> {
-    v2_verify(page)?;
-    v2_entry_count(page)
 }
 
 /// Per-entry encoding for one list family, as consumed by [`ListPacker`].
@@ -290,7 +242,7 @@ trait BlockCodec {
     fn rank(&self, item: &Self::Item) -> f32;
 }
 
-/// Dewey- and rank-ordered lists share one v2 entry encoding.
+/// Dewey- and rank-ordered lists share one entry encoding.
 struct PostingBlockCodec;
 
 impl BlockCodec for PostingBlockCodec {
@@ -386,9 +338,9 @@ impl BlockCodec for NaiveBlockCodec {
 /// next block would overflow the byte budget, and records one
 /// [`SkipEntry`] per block plus each page's first key.
 ///
-/// Keeps the v1 budget semantics: the budget is clamped to
-/// `[64, PAGE_SIZE]` and a single entry larger than the budget still
-/// goes out alone on a fresh page (asserting it fits [`PAGE_SIZE`]).
+/// The budget is clamped to `[64, PAGE_SIZE]`, and a single entry larger
+/// than the budget still goes out alone on a fresh page (asserting it
+/// fits [`PAGE_SIZE`]).
 struct ListPacker<'a, C: BlockCodec> {
     codec: C,
     budget: usize,
@@ -417,7 +369,7 @@ impl<'a, C: BlockCodec> ListPacker<'a, C> {
             segment,
             start_page: pool.store().page_count(segment),
             pages_done: 0,
-            page: new_page_v2(),
+            page: new_page(),
             page_entries: 0,
             blk: Vec::with_capacity(PAGE_SIZE),
             blk_state: C::Block::default(),
@@ -467,11 +419,11 @@ impl<'a, C: BlockCodec> ListPacker<'a, C> {
             return Ok(());
         }
         self.used_bytes += self.page.len() as u64;
-        seal_v2(&mut self.page, self.page_entries);
+        seal(&mut self.page, self.page_entries);
         let off = pool.append_page(self.segment, &self.page)?;
         debug_assert_eq!(off, self.start_page + self.pages_done);
         self.pages_done += 1;
-        self.page = new_page_v2();
+        self.page = new_page();
         self.page_entries = 0;
         Ok(())
     }
@@ -499,7 +451,7 @@ impl<'a, C: BlockCodec> ListPacker<'a, C> {
             }
             if self.page_entries == 0 {
                 assert!(
-                    V2_PAGE_HEADER + restart <= PAGE_SIZE,
+                    PAGE_HEADER + restart <= PAGE_SIZE,
                     "single posting exceeds a page"
                 );
             }
@@ -536,7 +488,7 @@ impl<'a, C: BlockCodec> ListPacker<'a, C> {
     }
 }
 
-/// Writes a Dewey-sorted list as v2 compressed blocks.
+/// Writes a Dewey-sorted list as compressed blocks.
 ///
 /// Panics if one entry cannot fit a page (positions lists are bounded by
 /// the tokenizer's per-element text sizes; see crate docs).
@@ -566,12 +518,12 @@ pub fn write_dewey_list_budgeted<S: PageStore>(
     }
     let (meta, skip, page_firsts) = pk.finish(pool)?;
     Ok(DeweyListWrite {
-        info: ListInfo { meta, format: ListFormat::V2, skip: Some(Arc::new(skip)) },
+        info: ListInfo { meta, skip: Arc::new(skip) },
         page_firsts,
     })
 }
 
-/// Writes a rank-ordered list as v2 compressed blocks.
+/// Writes a rank-ordered list as compressed blocks.
 pub fn write_rank_list<S: PageStore>(
     pool: &mut BufferPool<S>,
     segment: SegmentId,
@@ -592,10 +544,10 @@ pub fn write_rank_list_budgeted<S: PageStore>(
         pk.push(pool, p)?;
     }
     let (meta, skip, _) = pk.finish(pool)?;
-    Ok(ListInfo { meta, format: ListFormat::V2, skip: Some(Arc::new(skip)) })
+    Ok(ListInfo { meta, skip: Arc::new(skip) })
 }
 
-/// Writes a naive list as v2 compressed blocks. `delta` encodes ascending
+/// Writes a naive list as compressed blocks. `delta` encodes ascending
 /// element ids as within-block deltas (Naive-ID order); rank-ordered
 /// naive lists pass `delta = false`.
 pub fn write_naive_list<S: PageStore>(
@@ -620,84 +572,33 @@ pub fn write_naive_list_budgeted<S: PageStore>(
         pk.push(pool, p)?;
     }
     let (meta, skip, _) = pk.finish(pool)?;
-    Ok(ListInfo { meta, format: ListFormat::V2, skip: Some(Arc::new(skip)) })
+    Ok(ListInfo { meta, skip: Arc::new(skip) })
 }
 
-/// Reads a list page's entry-count header, bounds-checked.
-fn page_header(page: &[u8]) -> StorageResult<usize> {
-    SliceReader::new(page)
-        .get_u16()
-        .map(|n| n as usize)
-        .map_err(|_| StorageError::corrupt("list page shorter than its header"))
+/// Decodes a Dewey-list page into postings (`elem` ids are not stored on
+/// disk and come back as 0), verifying its checksum. Corruption yields a
+/// typed error, not a panic.
+pub fn decode_dewey_page(page: &[u8]) -> StorageResult<Vec<Posting>> {
+    verify_page(page)?;
+    let n = page_entry_count(page)?;
+    decode_blocks(page, n)
 }
 
 /// As [`decode_dewey_page`] for a pinned page: the checksum pass runs only
 /// when the pin did the physical read (cache hits decode pre-verified
 /// bytes). The hot-path form for readers holding a [`PageRef`].
-pub fn decode_dewey_page_pinned(page: &PageRef, format: ListFormat) -> StorageResult<Vec<Posting>> {
-    match format {
-        ListFormat::V2 => {
-            v2_verify_fresh(page)?;
-            let n = v2_entry_count(page)?;
-            decode_blocks(page, n)
-        }
-        ListFormat::V1 => decode_dewey_page(page, format),
-    }
-}
-
-/// Decodes a Dewey-list page into postings (`elem` ids are not stored on
-/// disk and come back as 0). Corruption yields a typed error, not a panic.
-pub fn decode_dewey_page(page: &[u8], format: ListFormat) -> StorageResult<Vec<Posting>> {
-    match format {
-        ListFormat::V2 => decode_block_page(page),
-        ListFormat::V1 => {
-            let n = page_header(page)?;
-            let mut out = Vec::with_capacity(n.min(PAGE_SIZE));
-            let mut off = 2;
-            let mut prev: Option<DeweyId> = None;
-            for _ in 0..n {
-                let (p, consumed) = posting::decode_entry(prev.as_ref(), &page[off..])
-                    .map_err(|e| StorageError::corrupt(format!("dewey list page entry: {e}")))?;
-                off += consumed;
-                prev = Some(p.dewey.clone());
-                out.push(p);
-            }
-            Ok(out)
-        }
-    }
-}
-
-/// Decodes a rank-list page.
-pub fn decode_rank_page(page: &[u8], format: ListFormat) -> StorageResult<Vec<Posting>> {
-    match format {
-        ListFormat::V2 => decode_block_page(page),
-        ListFormat::V1 => {
-            let n = page_header(page)?;
-            let mut out = Vec::with_capacity(n.min(PAGE_SIZE));
-            let mut off = 2;
-            for _ in 0..n {
-                let (p, consumed) = posting::decode_entry(None, &page[off..])
-                    .map_err(|e| StorageError::corrupt(format!("rank list page entry: {e}")))?;
-                off += consumed;
-                out.push(p);
-            }
-            Ok(out)
-        }
-    }
-}
-
-/// Shared v2 page decode for Dewey- and rank-ordered lists (their v2
-/// entry encoding is identical).
-fn decode_block_page(page: &[u8]) -> StorageResult<Vec<Posting>> {
-    let n = v2_page_header(page)?;
+pub fn decode_dewey_page_pinned(page: &PageRef) -> StorageResult<Vec<Posting>> {
+    verify_fresh(page)?;
+    let n = page_entry_count(page)?;
     decode_blocks(page, n)
 }
 
-/// Decodes a v2 page's block run (`n` = its entry count; checksum already
-/// handled by the caller).
+/// Decodes a page's block run (`n` = its entry count; checksum already
+/// handled by the caller). Dewey- and rank-ordered lists share the entry
+/// encoding.
 fn decode_blocks(page: &[u8], n: usize) -> StorageResult<Vec<Posting>> {
     let mut out = Vec::with_capacity(n.min(PAGE_SIZE));
-    let mut off = V2_PAGE_HEADER;
+    let mut off = PAGE_HEADER;
     while out.len() < n {
         off = block::decode_block(page, off, &mut out)?;
         if out.len() > n {
@@ -707,36 +608,7 @@ fn decode_blocks(page: &[u8], n: usize) -> StorageResult<Vec<Posting>> {
     Ok(out)
 }
 
-/// Decodes a naive-list page (pass the same `delta` used when writing).
-pub fn decode_naive_page(
-    page: &[u8],
-    delta: bool,
-    format: ListFormat,
-) -> StorageResult<Vec<NaivePosting>> {
-    let (n, mut off) = match format {
-        ListFormat::V2 => (v2_page_header(page)?, V2_PAGE_HEADER),
-        ListFormat::V1 => (page_header(page)?, 2),
-    };
-    let mut out = Vec::with_capacity(n.min(PAGE_SIZE));
-    match format {
-        ListFormat::V2 => {
-            while out.len() < n {
-                off = decode_naive_block(page, off, delta, &mut out)?;
-                if out.len() > n {
-                    return Err(StorageError::corrupt("list page blocks exceed entry count"));
-                }
-            }
-        }
-        ListFormat::V1 => {
-            for i in 0..n {
-                off = decode_naive_entry(page, off, delta && i > 0, &mut out)?;
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Decodes one v2 naive block starting at `page[off..]`; returns the
+/// Decodes one naive block starting at `page[off..]`; returns the
 /// offset just past it.
 fn decode_naive_block(
     page: &[u8],
@@ -782,15 +654,6 @@ fn decode_naive_entry(
     Ok(off)
 }
 
-/// How a list's pages should be decoded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ListKind {
-    /// Dewey-sorted (delta restarts per page in v1, per block in v2).
-    Dewey,
-    /// Rank-sorted (full Dewey per entry in v1, block deltas in v2).
-    Rank,
-}
-
 /// The page a [`ListReader`] is currently decoding: the frame stays pinned
 /// via its [`PageRef`] while postings are decoded out of it one at a time,
 /// straight from the frame bytes (no staging copy of the page, no eager
@@ -798,12 +661,10 @@ pub enum ListKind {
 #[derive(Debug)]
 struct PageFrame {
     page: PageRef,
-    /// Global page offset (v2 block navigation is addressed by page).
+    /// Global page offset (block navigation is addressed by page).
     page_no: u32,
     off: usize,
-    /// v1: entries left on this page. Unused in v2 (block-driven).
-    remaining: usize,
-    /// Delta base (v1: restarts per page; v2: per block).
+    /// Delta base (restarts at every block).
     prev: Option<DeweyId>,
 }
 
@@ -812,26 +673,22 @@ struct PageFrame {
 /// Figures 5 and 7). Decoding is lazy and zero-copy: each `next` decodes
 /// exactly one posting from the pinned current page, so a reader that is
 /// abandoned early (TA stop, switch to DIL) never pays for entries it did
-/// not consume. v2 readers additionally skip whole blocks via
+/// not consume. Readers additionally skip whole blocks via
 /// [`ListReader::next_seek`] and answer [`ListReader::rank_bound`] from
 /// the skip table without I/O.
 #[derive(Debug)]
 pub struct ListReader {
     segment: SegmentId,
     meta: ListMeta,
-    kind: ListKind,
-    format: ListFormat,
-    skip: Option<Arc<SkipTable>>,
-    /// v1 sequential cursor: next page of the run to pull.
-    next_page: u32,
+    skip: Arc<SkipTable>,
     frame: Option<PageFrame>,
     pending: Option<Posting>,
     consumed: u32,
-    /// v2: blocks entered so far == index of the next block to enter.
+    /// Blocks entered so far == index of the next block to enter.
     entered_blocks: usize,
-    /// v2: entries left undecoded in the current block.
+    /// Entries left undecoded in the current block.
     block_remaining: u32,
-    /// v2: the current block's rank dictionary.
+    /// The current block's rank dictionary.
     blk_ranks: Vec<f32>,
     blocks_decoded: u64,
     blocks_skipped: u64,
@@ -839,18 +696,11 @@ pub struct ListReader {
 
 impl ListReader {
     /// Creates a reader positioned at the start of the list.
-    pub fn new(segment: SegmentId, info: &ListInfo, kind: ListKind) -> Self {
-        debug_assert!(
-            info.format == ListFormat::V1 || info.skip.is_some(),
-            "v2 list without a skip table"
-        );
+    pub fn new(segment: SegmentId, info: &ListInfo) -> Self {
         ListReader {
             segment,
             meta: info.meta,
-            kind,
-            format: info.format,
-            skip: info.skip.clone(),
-            next_page: info.meta.start_page,
+            skip: Arc::clone(&info.skip),
             frame: None,
             pending: None,
             consumed: 0,
@@ -873,12 +723,12 @@ impl ListReader {
         self.consumed
     }
 
-    /// Blocks whose entries this reader started decoding (v2; 0 on v1).
+    /// Blocks whose entries this reader started decoding.
     pub fn blocks_decoded(&self) -> u64 {
         self.blocks_decoded
     }
 
-    /// Blocks jumped over without decoding (v2; 0 on v1).
+    /// Blocks jumped over without decoding.
     pub fn blocks_skipped(&self) -> u64 {
         self.blocks_skipped
     }
@@ -902,67 +752,26 @@ impl ListReader {
         Ok(p)
     }
 
-    /// Decodes the next posting into `pending` (one entry, in place on the
-    /// pinned frame), pulling the next page / block when the current one
-    /// is spent.
+    /// Decodes the next posting into `pending` unless one is already
+    /// there. Kept apart from [`ListReader::decode_next`] so this check
+    /// stays small enough to inline into `peek`/`next`.
     fn ensure_pending<S: PageStore>(&mut self, pool: &BufferPool<S>) -> StorageResult<()> {
         if self.pending.is_some() {
             return Ok(());
         }
-        match self.format {
-            ListFormat::V1 => self.ensure_pending_v1(pool),
-            ListFormat::V2 => self.ensure_pending_v2(pool),
-        }
+        self.decode_next(pool)
     }
 
-    fn ensure_pending_v1<S: PageStore>(&mut self, pool: &BufferPool<S>) -> StorageResult<()> {
-        loop {
-            let need_page = match &self.frame {
-                Some(f) => f.remaining == 0,
-                None => true,
-            };
-            if need_page {
-                if self.next_page >= self.meta.start_page + self.meta.page_count {
-                    return Ok(());
-                }
-                let page_no = self.next_page;
-                let page = pool.read(PageId::new(self.segment, page_no))?;
-                self.next_page += 1;
-                let remaining = page_header(&page)?;
-                self.frame = Some(PageFrame { page, page_no, off: 2, remaining, prev: None });
-                if remaining == 0 {
-                    continue; // writers never emit empty pages; stay robust
-                }
-            }
-            let frame = self.frame.as_mut().expect("current frame present");
-            let buf = frame
-                .page
-                .get(frame.off..)
-                .ok_or_else(|| StorageError::corrupt("list entry overruns page"))?;
-            let prev = match self.kind {
-                ListKind::Dewey => frame.prev.as_ref(),
-                ListKind::Rank => None,
-            };
-            let (p, used) = posting::decode_entry(prev, buf)
-                .map_err(|e| StorageError::corrupt(format!("list page entry: {e}")))?;
-            frame.off += used;
-            frame.remaining -= 1;
-            if self.kind == ListKind::Dewey {
-                frame.prev = Some(p.dewey.clone());
-            }
-            self.pending = Some(p);
-            return Ok(());
-        }
-    }
-
-    /// v2 navigation is driven by the skip table: each block's exact page
-    /// and byte offset is known, so entering a block pins its page (when
-    /// not already pinned) and positions the frame at the count varint.
-    fn ensure_pending_v2<S: PageStore>(&mut self, pool: &BufferPool<S>) -> StorageResult<()> {
+    /// Decodes the next posting into `pending` (one entry, in place on the
+    /// pinned frame), entering the next block when the current one is
+    /// spent. Navigation is driven by the skip table: each block's exact
+    /// page and byte offset is known, so entering a block pins its page
+    /// (when not already pinned) and positions the frame at the count
+    /// varint.
+    fn decode_next<S: PageStore>(&mut self, pool: &BufferPool<S>) -> StorageResult<()> {
         loop {
             if self.block_remaining == 0 {
-                let skip = self.skip.as_ref().expect("v2 list has skip table");
-                let Some(e) = skip.blocks.get(self.entered_blocks) else {
+                let Some(e) = self.skip.blocks.get(self.entered_blocks) else {
                     return Ok(()); // end of list
                 };
                 let (page, offset) = (e.page, e.offset as usize);
@@ -971,14 +780,9 @@ impl ListReader {
                     // Checksum once per physical read: every later decode
                     // off this frame (and every cache hit) reads bytes
                     // verified when they came off the medium.
-                    v2_verify_fresh(&pinned)?;
-                    self.frame = Some(PageFrame {
-                        page: pinned,
-                        page_no: page,
-                        off: offset,
-                        remaining: 0,
-                        prev: None,
-                    });
+                    verify_fresh(&pinned)?;
+                    self.frame =
+                        Some(PageFrame { page: pinned, page_no: page, off: offset, prev: None });
                 }
                 let frame = self.frame.as_mut().expect("frame pinned");
                 frame.off = offset;
@@ -1024,39 +828,34 @@ impl ListReader {
     /// skipping whole blocks via the skip table without decoding them.
     /// Forward-only: a target at or behind the current position is a
     /// cheap no-op (the reader never moves backward). Entries dropped
-    /// here are not counted in [`ListReader::consumed`]. On v1 lists this
-    /// degrades to a linear decode-and-drop.
+    /// here are not counted in [`ListReader::consumed`]. Only meaningful on
+    /// Dewey-ordered lists.
     pub fn next_seek<S: PageStore>(
         &mut self,
         pool: &BufferPool<S>,
         target: &DeweyId,
     ) -> StorageResult<()> {
-        debug_assert_eq!(self.kind, ListKind::Dewey, "next_seek on an unordered list");
         if let Some(p) = &self.pending {
             if p.dewey >= *target {
                 return Ok(());
             }
         }
-        if self.format == ListFormat::V2 {
-            let skip = self.skip.as_ref().expect("v2 list has skip table");
-            let key = codec::encode_id(target);
-            if let Some(idx) = skip.last_leq(&key) {
-                // Only jump strictly past the block we are inside of
-                // (`entered_blocks - 1`); backward jumps never happen.
-                if idx >= self.entered_blocks {
-                    self.blocks_skipped += (idx - self.entered_blocks) as u64;
-                    self.entered_blocks = idx;
-                    self.block_remaining = 0;
-                    self.pending = None;
-                    let jump_page = skip.blocks[idx].page;
-                    if self.frame.as_ref().is_none_or(|f| f.page_no != jump_page) {
-                        self.frame = None; // pinned lazily on next decode
-                    }
+        let key = codec::encode_id(target);
+        if let Some(idx) = self.skip.last_leq(&key) {
+            // Only jump strictly past the block we are inside of
+            // (`entered_blocks - 1`); backward jumps never happen.
+            if idx >= self.entered_blocks {
+                self.blocks_skipped += (idx - self.entered_blocks) as u64;
+                self.entered_blocks = idx;
+                self.block_remaining = 0;
+                self.pending = None;
+                let jump_page = self.skip.blocks[idx].page;
+                if self.frame.as_ref().is_none_or(|f| f.page_no != jump_page) {
+                    self.frame = None; // pinned lazily on next decode
                 }
             }
         }
-        // Decode-and-drop inside the landing block (v2) or from the
-        // current position (v1) up to the target.
+        // Decode-and-drop inside the landing block up to the target.
         loop {
             self.ensure_pending(pool)?;
             match &self.pending {
@@ -1067,11 +866,10 @@ impl ListReader {
     }
 
     /// An upper bound on the rank of the *next* posting this reader will
-    /// yield, or `None` at end of list. On rank-ordered v2 lists this is
+    /// yield, or `None` at end of list. On rank-ordered lists this is
     /// exact (a block's max rank is its first entry's rank) and costs no
     /// I/O at block boundaries — the TA frontier uses it to stop without
-    /// pulling the next page. v1 lists fall back to peeking (which may
-    /// pull a page).
+    /// pulling the next page.
     pub fn rank_bound<S: PageStore>(
         &mut self,
         pool: &BufferPool<S>,
@@ -1079,31 +877,19 @@ impl ListReader {
         if let Some(p) = &self.pending {
             return Ok(Some(p.rank));
         }
-        if self.format == ListFormat::V2 && self.block_remaining == 0 {
-            let skip = self.skip.as_ref().expect("v2 list has skip table");
-            return Ok(skip.blocks.get(self.entered_blocks).map(|b| b.max_rank));
+        if self.block_remaining == 0 {
+            return Ok(self.skip.blocks.get(self.entered_blocks).map(|b| b.max_rank));
         }
-        // Mid-block (v2) the next entry decodes off the already-pinned
-        // frame; v1 may pull the next page.
+        // Mid-block the next entry decodes off the already-pinned frame.
         self.ensure_pending(pool)?;
         Ok(self.pending.as_ref().map(|p| p.rank))
     }
 
     /// True once every posting has been yielded.
     pub fn exhausted(&self) -> bool {
-        match self.format {
-            ListFormat::V1 => {
-                self.pending.is_none()
-                    && self.frame.as_ref().is_none_or(|f| f.remaining == 0)
-                    && self.next_page >= self.meta.start_page + self.meta.page_count
-            }
-            ListFormat::V2 => {
-                self.pending.is_none()
-                    && self.block_remaining == 0
-                    && self.entered_blocks
-                        >= self.skip.as_ref().map_or(0, |s| s.blocks.len())
-            }
-        }
+        self.pending.is_none()
+            && self.block_remaining == 0
+            && self.entered_blocks >= self.skip.blocks.len()
     }
 
     /// Count-based end check: true once `entry_count` entries were
@@ -1116,18 +902,15 @@ impl ListReader {
 }
 
 /// Streaming reader for naive lists. Decodes a page at a time (naive
-/// postings are small and the baselines scan ranges); v2 lists expose
+/// postings are small and the baselines scan ranges) and exposes
 /// block-granular seeks via [`NaiveListReader::next_seek`].
 #[derive(Debug)]
 pub struct NaiveListReader {
     segment: SegmentId,
     meta: ListMeta,
     delta: bool,
-    format: ListFormat,
-    skip: Option<Arc<SkipTable>>,
-    /// v1 sequential cursor.
-    next_page: u32,
-    /// v2: next undecoded block.
+    skip: Arc<SkipTable>,
+    /// Next undecoded block.
     next_block: usize,
     buffered: VecDeque<NaivePosting>,
     consumed: u32,
@@ -1138,17 +921,11 @@ pub struct NaiveListReader {
 impl NaiveListReader {
     /// Creates a reader positioned at the start of the list.
     pub fn new(segment: SegmentId, info: &ListInfo, delta: bool) -> Self {
-        debug_assert!(
-            info.format == ListFormat::V1 || info.skip.is_some(),
-            "v2 list without a skip table"
-        );
         NaiveListReader {
             segment,
             meta: info.meta,
             delta,
-            format: info.format,
-            skip: info.skip.clone(),
-            next_page: info.meta.start_page,
+            skip: Arc::clone(&info.skip),
             next_block: 0,
             buffered: VecDeque::new(),
             consumed: 0,
@@ -1157,12 +934,12 @@ impl NaiveListReader {
         }
     }
 
-    /// Blocks decoded so far (v2; 0 on v1).
+    /// Blocks decoded so far.
     pub fn blocks_decoded(&self) -> u64 {
         self.blocks_decoded
     }
 
-    /// Blocks jumped over without decoding (v2; 0 on v1).
+    /// Blocks jumped over without decoding.
     pub fn blocks_skipped(&self) -> u64 {
         self.blocks_skipped
     }
@@ -1216,15 +993,12 @@ impl NaiveListReader {
                 self.buffered.pop_front();
             }
             // Buffer drained below the target: jump over whole blocks.
-            if self.format == ListFormat::V2 {
-                let skip = self.skip.as_ref().expect("v2 list has skip table");
-                let mut key = Vec::with_capacity(5);
-                codec::write_component(target, &mut key);
-                if let Some(idx) = skip.last_leq(&key) {
-                    if idx > self.next_block {
-                        self.blocks_skipped += (idx - self.next_block) as u64;
-                        self.next_block = idx;
-                    }
+            let mut key = Vec::with_capacity(5);
+            codec::write_component(target, &mut key);
+            if let Some(idx) = self.skip.last_leq(&key) {
+                if idx > self.next_block {
+                    self.blocks_skipped += (idx - self.next_block) as u64;
+                    self.next_block = idx;
                 }
             }
             self.fill(pool)?;
@@ -1234,43 +1008,28 @@ impl NaiveListReader {
         }
     }
 
+    /// Decodes every remaining block on the next block's page — the page
+    /// is pinned once and naive consumers are page-scan shaped anyway.
     fn fill<S: PageStore>(&mut self, pool: &BufferPool<S>) -> StorageResult<()> {
-        match self.format {
-            ListFormat::V1 => {
-                if self.next_page >= self.meta.start_page + self.meta.page_count {
-                    return Ok(());
-                }
-                let page = pool.read(PageId::new(self.segment, self.next_page))?;
-                self.next_page += 1;
-                self.buffered = decode_naive_page(&page, self.delta, ListFormat::V1)?.into();
-                Ok(())
+        let Some(first) = self.skip.blocks.get(self.next_block) else {
+            return Ok(());
+        };
+        let page_no = first.page;
+        let page = pool.read(PageId::new(self.segment, page_no))?;
+        verify_fresh(&page)?;
+        let mut scratch: Vec<NaivePosting> = Vec::new();
+        let mut k = self.next_block;
+        while let Some(e) = self.skip.blocks.get(k) {
+            if e.page != page_no {
+                break;
             }
-            ListFormat::V2 => {
-                let skip = self.skip.as_ref().expect("v2 list has skip table").clone();
-                let Some(first) = skip.blocks.get(self.next_block) else {
-                    return Ok(());
-                };
-                // Decode every remaining block on the landing page — the
-                // page is pinned once and naive consumers are page-scan
-                // shaped anyway.
-                let page_no = first.page;
-                let page = pool.read(PageId::new(self.segment, page_no))?;
-                v2_verify_fresh(&page)?;
-                let mut scratch: Vec<NaivePosting> = Vec::new();
-                let mut k = self.next_block;
-                while let Some(e) = skip.blocks.get(k) {
-                    if e.page != page_no {
-                        break;
-                    }
-                    decode_naive_block(&page, e.offset as usize, self.delta, &mut scratch)?;
-                    k += 1;
-                }
-                self.blocks_decoded += (k - self.next_block) as u64;
-                self.next_block = k;
-                self.buffered = scratch.into();
-                Ok(())
-            }
+            decode_naive_block(&page, e.offset as usize, self.delta, &mut scratch)?;
+            k += 1;
         }
+        self.blocks_decoded += (k - self.next_block) as u64;
+        self.next_block = k;
+        self.buffered = scratch.into();
+        Ok(())
     }
 }
 
@@ -1290,50 +1049,6 @@ mod tests {
             .collect()
     }
 
-    /// Writes a v1 Dewey page run (per-page delta restarts) — kept as a
-    /// test-only writer so the v1 read path stays covered after the
-    /// production writers moved to v2.
-    fn write_dewey_list_v1<S: PageStore>(
-        pool: &mut BufferPool<S>,
-        segment: SegmentId,
-        postings: &[Posting],
-    ) -> ListInfo {
-        let start_page = pool.store().page_count(segment);
-        let mut page = new_page();
-        let mut n: u16 = 0;
-        let mut prev: Option<&DeweyId> = None;
-        let mut used_bytes = 0u64;
-        for p in postings {
-            let len = posting::entry_len(prev, p);
-            if page.len() + len > PAGE_SIZE && n > 0 {
-                used_bytes += page.len() as u64;
-                seal(&mut page, n);
-                pool.append_page(segment, &page).unwrap();
-                page = new_page();
-                n = 0;
-                prev = None;
-            }
-            posting::encode_entry(prev, p, &mut page);
-            n += 1;
-            prev = Some(&p.dewey);
-        }
-        if n > 0 {
-            used_bytes += page.len() as u64;
-            seal(&mut page, n);
-            pool.append_page(segment, &page).unwrap();
-        }
-        ListInfo {
-            meta: ListMeta {
-                start_page,
-                page_count: pool.store().page_count(segment) - start_page,
-                entry_count: postings.len() as u32,
-                used_bytes,
-            },
-            format: ListFormat::V1,
-            skip: None,
-        }
-    }
-
     #[test]
     fn dewey_list_roundtrip_across_pages() {
         let mut pool = BufferPool::new(MemStore::new(), 1024);
@@ -1342,13 +1057,13 @@ mod tests {
         let w = write_dewey_list(&mut pool, seg, &ps).unwrap();
         assert!(w.info.meta.page_count > 1, "should span pages");
         assert_eq!(w.page_firsts.len(), w.info.meta.page_count as usize);
-        let skip = w.info.skip_table();
+        let skip = &w.info.skip;
         assert_eq!(
             skip.blocks.iter().map(|b| b.page).collect::<std::collections::BTreeSet<_>>().len(),
             w.info.meta.page_count as usize,
             "every page holds at least one block"
         );
-        let mut r = ListReader::new(seg, &w.info, ListKind::Dewey);
+        let mut r = ListReader::new(seg, &w.info);
         for expect in &ps {
             let got = r.next(&pool).unwrap().unwrap();
             assert_eq!(got.dewey, expect.dewey);
@@ -1362,42 +1077,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_dewey_list_still_reads() {
-        let mut pool = BufferPool::new(MemStore::new(), 1024);
-        let seg = pool.store_mut().create_segment().unwrap();
-        let ps = postings(2000);
-        let info = write_dewey_list_v1(&mut pool, seg, &ps);
-        assert!(info.meta.page_count > 1);
-        let mut r = ListReader::new(seg, &info, ListKind::Dewey);
-        for expect in &ps {
-            let got = r.next(&pool).unwrap().unwrap();
-            assert_eq!(got.dewey, expect.dewey);
-        }
-        assert!(r.next(&pool).unwrap().is_none());
-        assert!(r.exhausted());
-        assert_eq!(r.blocks_decoded(), 0);
-        // v1 decode path of the page decoder agrees
-        let page = pool.read(PageId::new(seg, info.meta.start_page)).unwrap().to_vec();
-        let decoded = decode_dewey_page(&page, ListFormat::V1).unwrap();
-        assert_eq!(decoded[0].dewey, ps[0].dewey);
-    }
-
-    #[test]
-    fn v2_compresses_vs_v1() {
-        let mut pool = BufferPool::new(MemStore::new(), 1024);
-        let seg = pool.store_mut().create_segment().unwrap();
-        let ps = postings(5000);
-        let v2 = write_dewey_list(&mut pool, seg, &ps).unwrap();
-        let v1 = write_dewey_list_v1(&mut pool, seg, &ps);
-        assert!(
-            v2.info.meta.used_bytes < v1.meta.used_bytes,
-            "v2 ({}) should be denser than v1 ({})",
-            v2.info.meta.used_bytes,
-            v1.meta.used_bytes
-        );
-    }
-
-    #[test]
     fn pages_are_self_contained() {
         let mut pool = BufferPool::new(MemStore::new(), 1024);
         let seg = pool.store_mut().create_segment().unwrap();
@@ -1407,7 +1086,7 @@ mod tests {
         // recorded page_first.
         let mid = w.info.meta.page_count / 2;
         let page = pool.read(PageId::new(seg, w.info.meta.start_page + mid)).unwrap().to_vec();
-        let decoded = decode_dewey_page(&page, ListFormat::V2).unwrap();
+        let decoded = decode_dewey_page(&page).unwrap();
         assert!(!decoded.is_empty());
         assert_eq!(
             codec::encode_id(&decoded[0].dewey),
@@ -1436,7 +1115,7 @@ mod tests {
         ];
         let mut sorted = targets.clone();
         sorted.sort();
-        let mut seeker = ListReader::new(seg, &w.info, ListKind::Dewey);
+        let mut seeker = ListReader::new(seg, &w.info);
         for t in &sorted {
             seeker.next_seek(&pool, t).unwrap();
             let got = seeker.peek(&pool).unwrap().map(|p| p.dewey.clone());
@@ -1454,25 +1133,13 @@ mod tests {
     }
 
     #[test]
-    fn next_seek_on_v1_list_is_linear_but_correct() {
-        let mut pool = BufferPool::new(MemStore::new(), 1024);
-        let seg = pool.store_mut().create_segment().unwrap();
-        let ps = postings(500);
-        let info = write_dewey_list_v1(&mut pool, seg, &ps);
-        let mut r = ListReader::new(seg, &info, ListKind::Dewey);
-        r.next_seek(&pool, &ps[300].dewey).unwrap();
-        assert_eq!(r.peek(&pool).unwrap().unwrap().dewey, ps[300].dewey);
-        assert_eq!(r.blocks_skipped(), 0);
-    }
-
-    #[test]
     fn rank_bound_is_exact_on_rank_lists() {
         let mut pool = BufferPool::new(MemStore::new(), 1024);
         let seg = pool.store_mut().create_segment().unwrap();
         let mut ps = postings(800);
         ps.sort_by(|a, b| b.rank.total_cmp(&a.rank).then(a.dewey.cmp(&b.dewey)));
         let info = write_rank_list(&mut pool, seg, &ps).unwrap();
-        let mut r = ListReader::new(seg, &info, ListKind::Rank);
+        let mut r = ListReader::new(seg, &info);
         for expect in &ps {
             let bound = r.rank_bound(&pool).unwrap().unwrap();
             assert_eq!(
@@ -1494,7 +1161,7 @@ mod tests {
         let mut ps = postings(500);
         ps.sort_by(|a, b| b.rank.total_cmp(&a.rank).then(a.dewey.cmp(&b.dewey)));
         let info = write_rank_list(&mut pool, seg, &ps).unwrap();
-        let mut r = ListReader::new(seg, &info, ListKind::Rank);
+        let mut r = ListReader::new(seg, &info);
         let mut prev_rank = f32::INFINITY;
         let mut n = 0;
         while let Some(p) = r.next(&pool).unwrap() {
@@ -1544,13 +1211,33 @@ mod tests {
     }
 
     #[test]
+    fn list_table_refuses_uncompressed_tag() {
+        let mut pool = BufferPool::new(MemStore::new(), 64);
+        let seg = pool.store_mut().create_segment().unwrap();
+        let w = write_dewey_list(&mut pool, seg, &postings(10)).unwrap();
+        let mut buf = Vec::new();
+        write_list_table(&mut buf, &[None, Some(w.info.clone())]).unwrap();
+        let back = read_list_table(&mut buf.as_slice()).unwrap();
+        assert!(back[0].is_none());
+        assert_eq!(back[1].as_ref().unwrap().meta, w.info.meta);
+
+        let mut old = Vec::new();
+        wire::put_u32(&mut old, 1).unwrap();
+        wire::put_u32(&mut old, 1).unwrap();
+        w.info.meta.write_meta(&mut old).unwrap();
+        let err = read_list_table(&mut old.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("xrank migrate"), "{err}");
+    }
+
+    #[test]
     fn empty_list() {
         let mut pool = BufferPool::new(MemStore::new(), 64);
         let seg = pool.store_mut().create_segment().unwrap();
         let w = write_dewey_list(&mut pool, seg, &[]).unwrap();
         assert_eq!(w.info.meta.page_count, 0);
-        assert!(w.info.skip_table().blocks.is_empty());
-        let mut r = ListReader::new(seg, &w.info, ListKind::Dewey);
+        assert!(w.info.skip.blocks.is_empty());
+        let mut r = ListReader::new(seg, &w.info);
         assert!(r.next(&pool).unwrap().is_none());
         assert!(r.exhausted());
     }
@@ -1561,7 +1248,7 @@ mod tests {
         let seg = pool.store_mut().create_segment().unwrap();
         let ps = postings(5);
         let w = write_dewey_list(&mut pool, seg, &ps).unwrap();
-        let mut r = ListReader::new(seg, &w.info, ListKind::Dewey);
+        let mut r = ListReader::new(seg, &w.info);
         let first = r.peek(&pool).unwrap().unwrap().dewey.clone();
         assert_eq!(r.peek(&pool).unwrap().unwrap().dewey, first);
         assert_eq!(r.next(&pool).unwrap().unwrap().dewey, first);
@@ -1579,7 +1266,7 @@ mod tests {
             tight.info.meta.page_count > full.info.meta.page_count,
             "smaller budget must spread over more pages"
         );
-        let mut r = ListReader::new(seg, &tight.info, ListKind::Dewey);
+        let mut r = ListReader::new(seg, &tight.info);
         for expect in &ps {
             assert_eq!(r.next(&pool).unwrap().unwrap().dewey, expect.dewey);
         }
@@ -1594,7 +1281,7 @@ mod tests {
         let w = write_dewey_list(&mut pool, seg, &ps).unwrap();
         pool.clear_cache();
         pool.reset_stats();
-        let mut r = ListReader::new(seg, &w.info, ListKind::Dewey);
+        let mut r = ListReader::new(seg, &w.info);
         while r.next(&pool).unwrap().is_some() {}
         let s = pool.stats();
         assert_eq!(s.rand_reads, 1, "one initial seek");

@@ -8,7 +8,7 @@
 //! realized as **one** B+-tree over the composite key `(term, dewey)` —
 //! equivalent to per-term trees with perfect page sharing.
 
-use crate::listio::{self, ListInfo, ListKind, ListMeta, ListReader};
+use crate::listio::{self, ListInfo, ListMeta, ListReader};
 use crate::posting::{self, Posting};
 use crate::SpaceBreakdown;
 use xrank_dewey::DeweyId;
@@ -95,7 +95,7 @@ impl RdilIndex {
     /// Streaming reader over a term's list (rank order).
     pub fn reader(&self, term: TermId) -> Option<ListReader> {
         self.info(term)
-            .map(|info| ListReader::new(self.segment, info, ListKind::Rank))
+            .map(|info| ListReader::new(self.segment, info))
     }
 
     /// The Figure 7 probe (`getLongestCommonPrefix` building block): the

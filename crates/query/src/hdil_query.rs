@@ -180,7 +180,6 @@ pub fn evaluate_traced<S: PageStore>(
         range_scans: rdil_stats.range_scans,
         blocks_decoded: outcome.stats.blocks_decoded + rdil_stats.blocks_decoded,
         blocks_skipped: outcome.stats.blocks_skipped + rdil_stats.blocks_skipped,
-        switched_to_dil: true,
         switch: Some(decision),
     };
     Ok(outcome)
@@ -223,7 +222,7 @@ mod tests {
         let q = terms(&c, &["alpha", "beta"]);
         let opts = QueryOptions { top_m: 5, ..Default::default() };
         let out = evaluate(&pool, &hdil, &q, &opts, &CostModel::default()).unwrap();
-        assert!(!out.stats.switched_to_dil, "correlated keywords should finish on RDIL");
+        assert!(out.stats.switch.is_none(), "correlated keywords should finish on RDIL");
         // and results agree with DIL
         let d = crate::dil_query::evaluate(&pool, &dil, &q, &opts).unwrap();
         assert_eq!(out.results.len(), d.results.len());
@@ -255,7 +254,7 @@ mod tests {
         }
         // The single co-occurrence sits at an arbitrary rank position; the
         // prefix very likely drains or the estimate blows up first.
-        assert!(out.stats.switched_to_dil, "uncorrelated keywords should fall back to DIL");
+        assert!(out.stats.switch.is_some(), "uncorrelated keywords should fall back to DIL");
     }
 
     #[test]
@@ -298,7 +297,7 @@ mod tests {
             ..Default::default()
         };
         let out = evaluate(&pool, &hdil, &q, &opts, &CostModel::default()).unwrap();
-        assert!(out.stats.switched_to_dil, "budget pressure must force the DIL fallback");
+        assert!(out.stats.switch.is_some(), "budget pressure must force the DIL fallback");
         let decision = out.stats.switch.expect("switch decision recorded");
         assert_eq!(decision.reason, SwitchReason::BudgetPressure);
         assert_eq!(out.stats.btree_probes, 0, "RDIL phase must not have run");
@@ -316,7 +315,7 @@ mod tests {
         };
         let out = evaluate(&pool, &hdil, &q, &roomy, &CostModel::default()).unwrap();
         assert!(out.degraded.is_none());
-        assert!(!out.stats.switched_to_dil);
+        assert!(out.stats.switch.is_none());
     }
 
     #[test]

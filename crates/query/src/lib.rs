@@ -241,15 +241,13 @@ pub struct EvalStats {
     pub cursor_descents: u64,
     /// Hash-index lookups issued.
     pub hash_probes: u64,
-    /// Compressed list blocks decoded (v2 block format; 0 on v1 stores).
+    /// Compressed list blocks decoded.
     pub blocks_decoded: u64,
     /// Compressed list blocks skipped whole — their skip entry proved no
     /// needed posting could live inside, so they were never decoded.
     pub blocks_skipped: u64,
     /// Prefix range scans issued.
     pub range_scans: u64,
-    /// HDIL only: the adaptive strategy abandoned RDIL for DIL.
-    pub switched_to_dil: bool,
     /// HDIL only: the quantities behind the Section 4.4.2 switch decision,
     /// recorded at the moment the strategy left RDIL. `None` when the
     /// query finished on RDIL (no switch) or did not run HDIL at all.

@@ -51,6 +51,6 @@ pub use pool::{BufferPool, EvictionCounters, PageRef, SegmentIo, STREAMS_PER_SEG
 pub use resilience::{BreakerConfig, FaultCounters, FaultPolicy, RetryPolicy};
 pub use stats::{AtomicIoStats, CostModel, IoStats, StatsScope};
 pub use store::{
-    FileStore, MemStore, PageId, PageStore, SegmentId, StoreFormat, PAGE_SIZE, PAGE_TRAILER_LEN,
+    FileStore, MemStore, PageId, PageStore, SegmentId, PAGE_SIZE, PAGE_TRAILER_LEN,
     PAGE_TRAILER_MAGIC,
 };

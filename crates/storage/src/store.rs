@@ -2,11 +2,9 @@
 //!
 //! Every I/O-bearing operation returns a [`StorageResult`]: a flaky disk
 //! fails the one query that touched it, never the process. On-disk
-//! segments (format v2) carry a per-page trailer — CRC32 over the page
-//! bytes plus a magic — so bit rot surfaces as
-//! [`StorageError::ChecksumMismatch`] and a partially-overwritten slot as
-//! [`StorageError::TornWrite`]. Format v1 segments (no trailer) remain
-//! readable for backward compatibility.
+//! segments carry a per-page trailer — CRC32 over the page bytes plus a
+//! magic — so bit rot surfaces as [`StorageError::ChecksumMismatch`] and a
+//! partially-overwritten slot as [`StorageError::TornWrite`].
 
 use crate::error::{crc32, StorageError, StorageResult};
 use std::fs::{File, OpenOptions};
@@ -16,11 +14,11 @@ use std::path::PathBuf;
 /// Fixed page size, in bytes.
 pub const PAGE_SIZE: usize = 4096;
 
-/// Bytes of per-page trailer in format-v2 segment files: CRC32
-/// (little-endian) + [`PAGE_TRAILER_MAGIC`].
+/// Bytes of per-page trailer in segment files: CRC32 (little-endian) +
+/// [`PAGE_TRAILER_MAGIC`].
 pub const PAGE_TRAILER_LEN: usize = 8;
 
-/// Trailer magic sealing a fully-written v2 page slot.
+/// Trailer magic sealing a fully-written page slot.
 pub const PAGE_TRAILER_MAGIC: [u8; 4] = *b"XPG2";
 
 /// Identifies a segment (≈ one file: an inverted list, a B+-tree, ...).
@@ -103,14 +101,6 @@ fn to_page(data: &[u8]) -> Box<[u8]> {
     data.to_vec().into_boxed_slice()
 }
 
-/// Zero-pads to a full fixed page (disk layout).
-fn to_full_page(data: &[u8]) -> Box<[u8]> {
-    assert!(data.len() <= PAGE_SIZE, "page data of {} bytes exceeds PAGE_SIZE", data.len());
-    let mut page = vec![0u8; PAGE_SIZE].into_boxed_slice();
-    page[..data.len()].copy_from_slice(data);
-    page
-}
-
 impl PageStore for MemStore {
     fn create_segment(&mut self) -> StorageResult<SegmentId> {
         self.segments.push(Vec::new());
@@ -153,39 +143,21 @@ impl PageStore for MemStore {
     }
 }
 
-/// On-disk segment file layout version.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreFormat {
-    /// Bare [`PAGE_SIZE`] slots, no integrity trailer (the original
-    /// layout; read-compatible, never written for new stores).
-    V1,
-    /// [`PAGE_SIZE`] + [`PAGE_TRAILER_LEN`] slots: page bytes, CRC32 of
-    /// them (LE), and the [`PAGE_TRAILER_MAGIC`].
-    V2,
-}
-
-impl StoreFormat {
-    fn slot_size(self) -> u64 {
-        match self {
-            StoreFormat::V1 => PAGE_SIZE as u64,
-            StoreFormat::V2 => (PAGE_SIZE + PAGE_TRAILER_LEN) as u64,
-        }
-    }
-}
+/// Bytes of one on-disk page slot: the page plus its integrity trailer.
+const SLOT_SIZE: u64 = (PAGE_SIZE + PAGE_TRAILER_LEN) as u64;
 
 /// File-backed store: one file per segment inside a directory, mirroring
 /// the paper's "inverted lists were implemented in the file system".
 ///
-/// A `FORMAT` marker file records the layout version. Directories written
-/// before checksumming existed have no marker; they are attached as
-/// [`StoreFormat::V1`] and read without verification. New or empty
-/// directories become [`StoreFormat::V2`], where every page slot carries a
-/// CRC32 + magic trailer verified on each read.
+/// Every page slot is [`PAGE_SIZE`] page bytes followed by an 8-byte
+/// trailer (CRC32 of the page, little-endian, then
+/// [`PAGE_TRAILER_MAGIC`]), verified on each read. A `FORMAT` marker file
+/// (`2`) versions the directory; it is written when a store is created,
+/// and a directory holding segment files without it is refused.
 #[derive(Debug)]
 pub struct FileStore {
     dir: PathBuf,
     files: Vec<FileSegment>,
-    format: StoreFormat,
 }
 
 #[derive(Debug)]
@@ -201,30 +173,28 @@ impl FileStore {
         let dir = dir.into();
         std::fs::create_dir_all(&dir).map_err(|e| StorageError::io("create store dir", e))?;
         let format_path = dir.join("FORMAT");
-        let format = match std::fs::read_to_string(&format_path) {
-            Ok(tag) => match tag.trim() {
-                "1" => StoreFormat::V1,
-                "2" => StoreFormat::V2,
-                other => {
-                    return Err(StorageError::corrupt(format!(
-                        "unknown store FORMAT tag {other:?} in {}",
-                        format_path.display()
-                    )))
-                }
-            },
+        match std::fs::read_to_string(&format_path) {
+            Ok(tag) if tag.trim() == "2" => {}
+            Ok(tag) => {
+                return Err(StorageError::corrupt(format!(
+                    "unknown store FORMAT tag {:?} in {}",
+                    tag.trim(),
+                    format_path.display()
+                )))
+            }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 if dir.join("seg-0.pages").exists() {
-                    // Pre-checksum store: no marker, bare pages.
-                    StoreFormat::V1
-                } else {
-                    std::fs::write(&format_path, "2\n")
-                        .map_err(|e| StorageError::io("write store FORMAT", e))?;
-                    StoreFormat::V2
+                    return Err(StorageError::corrupt(format!(
+                        "segment files without a FORMAT marker in {} (a pre-checksum \
+                         store; rebuild it with `xrank migrate`)",
+                        dir.display()
+                    )));
                 }
+                std::fs::write(&format_path, "2\n")
+                    .map_err(|e| StorageError::io("write store FORMAT", e))?;
             }
             Err(e) => return Err(StorageError::io("read store FORMAT", e)),
-        };
-        let slot = format.slot_size();
+        }
         let mut files = Vec::new();
         for i in 0.. {
             let path = dir.join(format!("seg-{i}.pages"));
@@ -239,20 +209,15 @@ impl FileStore {
             let len = file.metadata().map_err(|e| StorageError::io("stat segment file", e))?.len();
             // A trailing partial slot (crash mid-append) is ignored: the
             // page was never acknowledged, so it does not exist.
-            let pages = (len / slot) as u32;
+            let pages = (len / SLOT_SIZE) as u32;
             files.push(FileSegment { file, pages });
         }
-        Ok(FileStore { dir, files, format })
+        Ok(FileStore { dir, files })
     }
 
     /// The root directory.
     pub fn dir(&self) -> &std::path::Path {
         &self.dir
-    }
-
-    /// The on-disk layout version this store reads and writes.
-    pub fn format(&self) -> StoreFormat {
-        self.format
     }
 
     /// Flushes every segment file's data and metadata to the device, then
@@ -268,7 +233,7 @@ impl FileStore {
     }
 
     /// Reads back every page of every segment, verifying trailers and
-    /// checksums (v2). A clean pass proves the files are fully readable
+    /// checksums. A clean pass proves the files are fully readable
     /// and uncorrupted; the first damaged page aborts with its typed
     /// error. Used by engine open to fail loudly on silent corruption.
     pub fn verify(&self) -> StorageResult<()> {
@@ -296,19 +261,16 @@ impl FileStore {
             .ok_or(StorageError::SegmentOutOfRange { segment, segments })
     }
 
-    /// Serializes `data` into one on-disk slot for this format.
-    fn encode_slot(&self, data: &[u8]) -> Box<[u8]> {
-        match self.format {
-            StoreFormat::V1 => to_full_page(data),
-            StoreFormat::V2 => {
-                let page = to_full_page(data);
-                let mut slot = vec![0u8; PAGE_SIZE + PAGE_TRAILER_LEN].into_boxed_slice();
-                slot[..PAGE_SIZE].copy_from_slice(&page);
-                slot[PAGE_SIZE..PAGE_SIZE + 4].copy_from_slice(&crc32(&page).to_le_bytes());
-                slot[PAGE_SIZE + 4..].copy_from_slice(&PAGE_TRAILER_MAGIC);
-                slot
-            }
-        }
+    /// Serializes `data` into one on-disk slot: the zero-padded page, its
+    /// CRC32 and the trailer magic.
+    fn encode_slot(data: &[u8]) -> Box<[u8]> {
+        assert!(data.len() <= PAGE_SIZE, "page data of {} bytes exceeds PAGE_SIZE", data.len());
+        let mut slot = vec![0u8; SLOT_SIZE as usize].into_boxed_slice();
+        slot[..data.len()].copy_from_slice(data);
+        let crc = crc32(&slot[..PAGE_SIZE]);
+        slot[PAGE_SIZE..PAGE_SIZE + 4].copy_from_slice(&crc.to_le_bytes());
+        slot[PAGE_SIZE + 4..].copy_from_slice(&PAGE_TRAILER_MAGIC);
+        slot
     }
 
     fn write_slot(seg: &mut FileSegment, offset: u64, slot: &[u8], op: &'static str) -> StorageResult<()> {
@@ -361,22 +323,20 @@ impl PageStore for FileStore {
     }
 
     fn append_page(&mut self, segment: SegmentId, data: &[u8]) -> StorageResult<u32> {
-        let slot = self.encode_slot(data);
-        let slot_size = self.format.slot_size();
+        let slot = Self::encode_slot(data);
         let seg = self.segment_mut(segment)?;
-        Self::write_slot(seg, seg.pages as u64 * slot_size, &slot, "append page")?;
+        Self::write_slot(seg, seg.pages as u64 * SLOT_SIZE, &slot, "append page")?;
         seg.pages += 1;
         Ok(seg.pages - 1)
     }
 
     fn write_page(&mut self, id: PageId, data: &[u8]) -> StorageResult<()> {
-        let slot = self.encode_slot(data);
-        let slot_size = self.format.slot_size();
+        let slot = Self::encode_slot(data);
         let seg = self.segment_mut(id.segment)?;
         if id.page >= seg.pages {
             return Err(StorageError::PageOutOfRange { id, pages: seg.pages });
         }
-        Self::write_slot(seg, id.page as u64 * slot_size, &slot, "write page")
+        Self::write_slot(seg, id.page as u64 * SLOT_SIZE, &slot, "write page")
     }
 
     fn read_page(&self, id: PageId, buf: &mut [u8]) -> StorageResult<()> {
@@ -384,26 +344,19 @@ impl PageStore for FileStore {
         if id.page >= seg.pages {
             return Err(StorageError::PageOutOfRange { id, pages: seg.pages });
         }
-        let offset = id.page as u64 * self.format.slot_size();
-        match self.format {
-            StoreFormat::V1 => Self::read_slot(seg, offset, buf),
-            StoreFormat::V2 => {
-                let mut slot = [0u8; PAGE_SIZE + PAGE_TRAILER_LEN];
-                Self::read_slot(seg, offset, &mut slot)?;
-                if slot[PAGE_SIZE + 4..] != PAGE_TRAILER_MAGIC {
-                    return Err(StorageError::TornWrite { id });
-                }
-                let stored = u32::from_le_bytes(
-                    slot[PAGE_SIZE..PAGE_SIZE + 4].try_into().expect("4-byte slice"),
-                );
-                let computed = crc32(&slot[..PAGE_SIZE]);
-                if stored != computed {
-                    return Err(StorageError::ChecksumMismatch { id, stored, computed });
-                }
-                buf.copy_from_slice(&slot[..PAGE_SIZE]);
-                Ok(())
-            }
+        let mut slot = [0u8; SLOT_SIZE as usize];
+        Self::read_slot(seg, id.page as u64 * SLOT_SIZE, &mut slot)?;
+        if slot[PAGE_SIZE + 4..] != PAGE_TRAILER_MAGIC {
+            return Err(StorageError::TornWrite { id });
         }
+        let stored =
+            u32::from_le_bytes(slot[PAGE_SIZE..PAGE_SIZE + 4].try_into().expect("4-byte slice"));
+        let computed = crc32(&slot[..PAGE_SIZE]);
+        if stored != computed {
+            return Err(StorageError::ChecksumMismatch { id, stored, computed });
+        }
+        buf.copy_from_slice(&slot[..PAGE_SIZE]);
+        Ok(())
     }
 }
 
@@ -465,12 +418,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         {
             let mut store = FileStore::open(&dir).unwrap();
-            assert_eq!(store.format(), StoreFormat::V2);
             exercise(&mut store);
         }
         // Re-open and verify persistence.
         let store = FileStore::open(&dir).unwrap();
-        assert_eq!(store.format(), StoreFormat::V2);
         assert_eq!(store.segment_count(), 2);
         assert_eq!(store.page_count(SegmentId(0)), 2);
         let mut buf = vec![0u8; PAGE_SIZE];
@@ -480,26 +431,16 @@ mod tests {
     }
 
     #[test]
-    fn v1_directory_without_marker_reads_back() {
-        let dir = temp_dir("v1");
+    fn segment_files_without_marker_are_refused() {
+        let dir = temp_dir("nomarker");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        // Hand-write a v1 segment: two bare 4096-byte pages, no FORMAT.
-        let mut page = vec![0u8; PAGE_SIZE];
-        page[..3].copy_from_slice(b"old");
-        let mut raw = page.clone();
-        page[..3].copy_from_slice(b"two");
-        raw.extend_from_slice(&page);
-        std::fs::write(dir.join("seg-0.pages"), &raw).unwrap();
-
-        let store = FileStore::open(&dir).unwrap();
-        assert_eq!(store.format(), StoreFormat::V1);
-        assert_eq!(store.page_count(SegmentId(0)), 2);
-        let mut buf = vec![0u8; PAGE_SIZE];
-        store.read_page(PageId::new(SegmentId(0), 0), &mut buf).unwrap();
-        assert_eq!(&buf[..3], b"old");
-        store.read_page(PageId::new(SegmentId(0), 1), &mut buf).unwrap();
-        assert_eq!(&buf[..3], b"two");
+        // A pre-checksum segment: two bare 4096-byte pages, no FORMAT.
+        std::fs::write(dir.join("seg-0.pages"), vec![0u8; 2 * PAGE_SIZE]).unwrap();
+        let err = FileStore::open(&dir).unwrap_err();
+        assert!(matches!(err, StorageError::Corrupt { .. }), "{err}");
+        assert!(err.to_string().contains("xrank migrate"), "{err}");
+        assert!(!dir.join("FORMAT").exists(), "a refused directory is left untouched");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -19,6 +19,19 @@ cargo test -q -p xrank-core --offline --test persistence
 echo "== fault smoke (corrupt a page, assert typed failure + recovery) =="
 scripts/fault_smoke.sh
 
+echo "== migrate smoke (an old-format index is refused, then migrated) =="
+MIG=$(mktemp -d "${TMPDIR:-/tmp}/xrank-migrate-smoke.XXXXXX")
+trap 'rm -rf "$MIG"' EXIT
+cp -r crates/core/tests/fixtures/v1_store/store "$MIG/"
+if target/release/xrank search "$MIG" xql language 2> "$MIG.err"; then
+    echo "migrate smoke: search on an old-format index must fail"; exit 1
+fi
+grep -q migrate "$MIG.err" || { cat "$MIG.err"; echo "migrate smoke: no migrate hint"; exit 1; }
+rm -f "$MIG.err"
+target/release/xrank migrate "$MIG" > /dev/null
+target/release/xrank search "$MIG" xql language | grep -q '^ *1\. ' \
+    || { echo "migrate smoke: migrated index returned no hits"; exit 1; }
+
 echo "== obs smoke (EXPLAIN stages + Prometheus exposition) =="
 scripts/obs_smoke.sh
 

@@ -7,6 +7,7 @@
 //!                                  [--explain] [--metrics]
 //!                                  [--io-budget N] [--allow-partial]
 //! xrank stats  <dir>                           collection statistics
+//! xrank migrate <dir>                          rebuild an older index
 //! xrank trace-dump  <dir> <query words> [--strategy dil|rdil|hdil]
 //!                                  [--repeat N] [--out FILE]
 //! xrank trace-check <file> [--expect-cat CAT]... [--expect-track NAME]...
@@ -27,9 +28,13 @@
 //! `--allow-partial` an exhausted budget (or deadline) returns the best
 //! top-k found so far, marked `[partial]`, instead of failing.
 //!
-//! `index`/`demo` write the engine under `<dir>` (pages in `<dir>/store/`,
-//! metadata in `<dir>/xrank-meta.bin`); `search`/`stats` reopen it without
-//! re-indexing.
+//! `index`/`demo` write the engine under `<dir>` (pages and metadata in
+//! `<dir>/store/`, the metadata as `<dir>/store/xrank-meta.bin`);
+//! `search`/`stats` reopen it without re-indexing.
+//!
+//! `migrate` rebuilds the indexes of a directory written by an older
+//! build (which `search`/`stats` refuse) from its stored collection and
+//! ElemRank vector, then commits them atomically; rankings are unchanged.
 //!
 //! `scrub` opens an *updatable pipeline* directory (the `CURRENT` +
 //! `MANIFEST-*` + `seg-*/` layout), re-reads every physical page off the
@@ -49,6 +54,7 @@ fn main() -> ExitCode {
         Some("demo") => cmd_demo(&args[1..]),
         Some("search") => cmd_search(&args[1..]),
         Some("stats") => cmd_stats(&args[1..]),
+        Some("migrate") => cmd_migrate(&args[1..]),
         Some("trace-dump") => cmd_trace_dump(&args[1..]),
         Some("trace-check") => cmd_trace_check(&args[1..]),
         Some("scrub") => cmd_scrub(&args[1..]),
@@ -59,6 +65,7 @@ fn main() -> ExitCode {
                  xrank search <dir> <query words> [-m N] [--any] [--strategy dil|rdil|hdil] \
                  [--explain] [--metrics] [--io-budget N] [--allow-partial]\n  \
                  xrank stats  <dir>\n  \
+                 xrank migrate <dir>\n  \
                  xrank trace-dump  <dir> <query words> [--strategy dil|rdil|hdil] \
                  [--repeat N] [--out FILE]\n  \
                  xrank trace-check <file> [--expect-cat CAT]... [--expect-track NAME]...\n  \
@@ -422,6 +429,17 @@ fn cmd_stats(args: &[String]) -> CliResult {
     let dir = args.first().ok_or("stats: missing <dir>")?;
     let engine = XRankEngine::<FileStore>::open(dir, engine_config())
         .map_err(|e| format!("opening {dir}: {e}"))?;
+    print_build_summary(&engine);
+    Ok(())
+}
+
+fn cmd_migrate(args: &[String]) -> CliResult {
+    let [dir] = args else {
+        return Err("migrate: expected exactly <dir>".into());
+    };
+    let engine = XRankEngine::migrate(dir, engine_config())
+        .map_err(|e| format!("migrating {dir}: {e}"))?;
+    println!("migrated {dir}");
     print_build_summary(&engine);
     Ok(())
 }
