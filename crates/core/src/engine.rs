@@ -1,9 +1,7 @@
 //! Engine assembly and the search entry point.
 
 use crate::results::{SearchHit, SearchResults};
-use crate::telemetry::{
-    strategy_label, EngineMetrics, Explain, ObsConfig, SlowQueryEntry, SlowQueryLog, ANY_SLOT,
-};
+use crate::telemetry::{strategy_label, EngineMetrics, Explain, ObsConfig, ANY_SLOT};
 use std::collections::HashSet;
 use std::sync::{Arc, Condvar, Mutex};
 use xrank_graph::{Collection, CollectionBuilder, ElemId, LinkSpec, TermId};
@@ -12,7 +10,8 @@ use xrank_index::{
     RankWeighting, RdilIndex,
 };
 use xrank_obs::{
-    EventData, FlightRecorder, MetricsRegistry, OpKind, OpOutcome, QueryTrace, Stage,
+    EventData, FlightRecord, FlightRecorder, MetricsRegistry, OpKind, OpOutcome, QueryTrace,
+    Stage,
 };
 use xrank_query::{dil_query, hdil_query, naive_query, rdil_query, QueryError, QueryOptions};
 use xrank_rank::{elem_rank_seeded, ElemRankParams, RankResult};
@@ -299,7 +298,6 @@ pub struct XRankEngine<S: PageStore = MemStore> {
     html_docs: HashSet<u32>,
     metrics: Arc<MetricsRegistry>,
     emetrics: EngineMetrics,
-    slow_log: SlowQueryLog,
     limiter: InFlightLimiter,
     recorder: Arc<FlightRecorder>,
     /// Per-segment gauge series published on the last scrape, so series
@@ -343,7 +341,7 @@ impl<S: PageStore> XRankEngine<S> {
         if let Some(reason) = outcome.degraded {
             self.emetrics.record_degraded(reason);
         }
-        self.note_slow(query, "any", elapsed, hits.len());
+        self.count_if_slow(elapsed);
         if self.recorder.is_enabled() {
             // The disjunctive path is untraced; record the op envelope so
             // it still lands on the timeline.
@@ -525,15 +523,17 @@ impl<S: PageStore> XRankEngine<S> {
             Ok(o) => o,
             Err(e) => {
                 self.emetrics.record_err(&e);
+                let origin = trace.origin();
+                let finished = trace.finish();
+                self.count_if_slow(finished.total);
                 if record {
                     let _ = scope.finish();
-                    let origin = trace.origin();
                     self.recorder.record(
                         OpKind::Query,
                         &op_label(strategy_label(strategy), query),
                         origin,
                         OpOutcome::Error,
-                        &trace.finish(),
+                        &finished,
                     );
                 }
                 return Err(e);
@@ -551,12 +551,12 @@ impl<S: PageStore> XRankEngine<S> {
         if let Some(reason) = outcome.degraded {
             self.emetrics.record_degraded(reason);
         }
-        self.note_slow(query, strategy_label(strategy), elapsed, hits.len());
         if trace.is_enabled() {
             self.attach_pool_events(&trace, &io, fault_base);
         }
         let origin = trace.origin();
         let finished = trace.is_enabled().then(|| trace.finish());
+        self.count_if_slow(finished.as_ref().map_or(elapsed, |t| t.total));
         if record {
             if let Some(t) = &finished {
                 let outcome_kind = if outcome.degraded.is_some() {
@@ -623,17 +623,14 @@ impl<S: PageStore> XRankEngine<S> {
         }
     }
 
-    fn note_slow(&self, query: &str, strategy: &'static str, elapsed: std::time::Duration, hits: usize) {
-        if elapsed >= self.slow_log.threshold() {
-            let captured = self.slow_log.offer(SlowQueryEntry {
-                query: query.to_string(),
-                strategy,
-                elapsed,
-                hits,
-            });
-            if captured {
-                self.emetrics.record_slow();
-            }
+    /// Counts a finished query in `xrank_slow_queries_total` when `total`
+    /// reaches the recorder's `slow_query` threshold. Callers pass the
+    /// trace total whenever a trace ran — the measure the recorder tests —
+    /// so the counter matches the query records it flags `slow`, and it
+    /// keeps counting with the recorder disabled.
+    fn count_if_slow(&self, total: std::time::Duration) {
+        if total >= self.recorder.config().slow_query {
+            self.emetrics.record_slow();
         }
     }
 
@@ -836,10 +833,14 @@ impl<S: PageStore> XRankEngine<S> {
         self.metrics.snapshot()
     }
 
-    /// The captured slow queries (queries at least
-    /// [`ObsConfig::slow_query_threshold`] slow), oldest first.
-    pub fn slow_queries(&self) -> Vec<SlowQueryEntry> {
-        self.slow_log.snapshot()
+    /// The slow queries the flight recorder still holds (query records it
+    /// flagged `slow` against [`xrank_obs::RecorderConfig::slow_query`]),
+    /// oldest first. They share the notable ring with background ops, and
+    /// nothing is kept while the recorder is disabled.
+    pub fn slow_queries(&self) -> Vec<FlightRecord> {
+        let mut records = self.recorder.records();
+        records.retain(|r| r.kind == OpKind::Query && r.slow);
+        records
     }
 
     /// The engine's flight recorder (see [`FlightRecorder`]): the bounded
@@ -934,7 +935,6 @@ impl<S: PageStore> XRankEngine<S> {
             MetricsRegistry::disabled()
         });
         let emetrics = EngineMetrics::new(&metrics);
-        let slow_log = SlowQueryLog::new(&config.obs);
         let limiter = InFlightLimiter::new(config.max_in_flight);
         let recorder = Arc::new(FlightRecorder::new(config.obs.recorder.clone()));
         XRankEngine {
@@ -949,7 +949,6 @@ impl<S: PageStore> XRankEngine<S> {
             html_docs,
             metrics,
             emetrics,
-            slow_log,
             limiter,
             recorder,
             segment_series: Mutex::new(HashSet::new()),

@@ -49,7 +49,7 @@ pub use executor::{AdmissionPolicy, QueryExecutor, QueryReply, QueryRequest};
 pub use results::{SearchHit, SearchResults};
 pub use scrub::{ScrubPolicy, Scrubber};
 pub use snapshot::Snapshot;
-pub use telemetry::{Explain, ObsConfig, SlowOpEntry, SlowQueryEntry};
+pub use telemetry::{Explain, ObsConfig};
 pub use update::{
     CommitStats, CompactStats, CrashPoint, PinnedSnapshot, ScrubCursor, ScrubReport,
     UpdatableXRank, UpdateError,

@@ -1,5 +1,5 @@
-//! Engine-level observability: pre-resolved metric handles, the
-//! slow-query log, and the EXPLAIN rendering.
+//! Engine-level observability: pre-resolved metric handles and the
+//! EXPLAIN rendering.
 //!
 //! The engine owns one [`MetricsRegistry`]; every handle the serving path
 //! touches is resolved here once, at engine construction, so recording a
@@ -10,9 +10,7 @@
 //! storage crate free of any observability dependency.
 
 use crate::engine::Strategy;
-use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Mutex;
 use std::time::Duration;
 use xrank_obs::{Counter, EventData, Gauge, Histogram, MetricsRegistry, RecorderConfig, Trace};
 use xrank_query::{EvalStats, QueryError};
@@ -25,17 +23,11 @@ pub struct ObsConfig {
     /// recording call is one relaxed load and a branch; scraping still
     /// works (it just reads zeros for the gated series).
     pub metrics_enabled: bool,
-    /// Queries at least this slow are captured in the slow-query log.
-    pub slow_query_threshold: Duration,
-    /// Ring-buffer capacity of the slow-query log.
-    pub slow_log_capacity: usize,
-    /// Background operations (commits, compactions) at least this slow
-    /// are captured in the update pipeline's slow-op log.
-    pub slow_op_threshold: Duration,
-    /// Ring-buffer capacity of the slow-op log.
-    pub slow_op_capacity: usize,
     /// Flight-recorder retention policy (always-on trace ring; see
-    /// [`xrank_obs::FlightRecorder`]).
+    /// [`xrank_obs::FlightRecorder`]). Its notable ring is the one place
+    /// slow queries and background ops are kept, and its `slow_query` /
+    /// `slow_op` thresholds also drive the `xrank_slow_queries_total` /
+    /// `xrank_update_slow_ops_total` counters.
     pub recorder: RecorderConfig,
 }
 
@@ -43,10 +35,6 @@ impl Default for ObsConfig {
     fn default() -> Self {
         ObsConfig {
             metrics_enabled: true,
-            slow_query_threshold: Duration::from_millis(100),
-            slow_log_capacity: 64,
-            slow_op_threshold: Duration::from_millis(250),
-            slow_op_capacity: 32,
             recorder: RecorderConfig::default(),
         }
     }
@@ -278,132 +266,6 @@ impl UpdateMetrics {
     }
 }
 
-/// One captured slow query.
-#[derive(Debug, Clone)]
-pub struct SlowQueryEntry {
-    /// The raw query string.
-    pub query: String,
-    /// Strategy label (`dil`, `rdil`, `hdil`, `naive_id`, `naive_rank`,
-    /// `any`).
-    pub strategy: &'static str,
-    /// Evaluation wall time.
-    pub elapsed: Duration,
-    /// Hits returned.
-    pub hits: usize,
-}
-
-/// A bounded ring buffer of the most recent queries slower than the
-/// configured threshold.
-pub(crate) struct SlowQueryLog {
-    threshold: Duration,
-    capacity: usize,
-    entries: Mutex<VecDeque<SlowQueryEntry>>,
-}
-
-impl SlowQueryLog {
-    pub(crate) fn new(config: &ObsConfig) -> Self {
-        SlowQueryLog {
-            threshold: config.slow_query_threshold,
-            capacity: config.slow_log_capacity.max(1),
-            entries: Mutex::new(VecDeque::new()),
-        }
-    }
-
-    pub(crate) fn threshold(&self) -> Duration {
-        self.threshold
-    }
-
-    /// Captures `entry` if it clears the threshold; evicts the oldest
-    /// entry beyond capacity. Returns whether it was captured.
-    pub(crate) fn offer(&self, entry: SlowQueryEntry) -> bool {
-        if entry.elapsed < self.threshold {
-            return false;
-        }
-        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        if entries.len() >= self.capacity {
-            entries.pop_front();
-        }
-        entries.push_back(entry);
-        true
-    }
-
-    /// The captured entries, oldest first.
-    pub(crate) fn snapshot(&self) -> Vec<SlowQueryEntry> {
-        self.entries
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .cloned()
-            .collect()
-    }
-}
-
-/// One captured slow background operation (commit, compaction, …).
-///
-/// Symmetric with [`SlowQueryEntry`], but background ops are rare and
-/// their traces are the primary evidence — `CompactStats::trace` is
-/// consumed by whoever triggered the fold, so this ring keeps its own
-/// copy for later inspection via `UpdatableXRank::slow_ops`.
-#[derive(Debug, Clone)]
-pub struct SlowOpEntry {
-    /// Operation kind label (`commit`, `compaction`).
-    pub kind: &'static str,
-    /// Human-readable description (segment id, fold shape…).
-    pub label: String,
-    /// Wall time of the operation.
-    pub elapsed: Duration,
-    /// The snapshot sequence the operation published (0 if none).
-    pub seq: u64,
-    /// The operation's finished trace.
-    pub trace: Trace,
-}
-
-/// A bounded ring buffer of the most recent background operations slower
-/// than [`ObsConfig::slow_op_threshold`].
-pub(crate) struct SlowOpLog {
-    threshold: Duration,
-    capacity: usize,
-    entries: Mutex<VecDeque<SlowOpEntry>>,
-}
-
-impl SlowOpLog {
-    pub(crate) fn new(config: &ObsConfig) -> Self {
-        SlowOpLog {
-            threshold: config.slow_op_threshold,
-            capacity: config.slow_op_capacity.max(1),
-            entries: Mutex::new(VecDeque::new()),
-        }
-    }
-
-    pub(crate) fn threshold(&self) -> Duration {
-        self.threshold
-    }
-
-    /// Captures `entry` if it clears the threshold; evicts the oldest
-    /// entry beyond capacity. Returns whether it was captured.
-    pub(crate) fn offer(&self, entry: SlowOpEntry) -> bool {
-        if entry.elapsed < self.threshold {
-            return false;
-        }
-        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        if entries.len() >= self.capacity {
-            entries.pop_front();
-        }
-        entries.push_back(entry);
-        true
-    }
-
-    /// The captured entries, oldest first.
-    pub(crate) fn snapshot(&self) -> Vec<SlowOpEntry> {
-        self.entries
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .cloned()
-            .collect()
-    }
-}
-
 /// Number of trace events rendered in full before eliding the middle.
 const EXPLAIN_EVENT_HEAD: usize = 10;
 const EXPLAIN_EVENT_TAIL: usize = 6;
@@ -584,56 +446,6 @@ impl fmt::Display for Explain {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn slow_log_captures_only_above_threshold_and_bounds_capacity() {
-        let log = SlowQueryLog::new(&ObsConfig {
-            metrics_enabled: true,
-            slow_query_threshold: Duration::from_millis(10),
-            slow_log_capacity: 2,
-            ..Default::default()
-        });
-        let entry = |q: &str, ms: u64| SlowQueryEntry {
-            query: q.to_string(),
-            strategy: "hdil",
-            elapsed: Duration::from_millis(ms),
-            hits: 1,
-        };
-        assert!(!log.offer(entry("fast", 1)));
-        assert!(log.offer(entry("a", 20)));
-        assert!(log.offer(entry("b", 30)));
-        assert!(log.offer(entry("c", 40)));
-        let snap = log.snapshot();
-        assert_eq!(snap.len(), 2, "ring evicts oldest");
-        assert_eq!(snap[0].query, "b");
-        assert_eq!(snap[1].query, "c");
-    }
-
-    #[test]
-    fn slow_op_log_mirrors_slow_query_semantics() {
-        let log = SlowOpLog::new(&ObsConfig {
-            slow_op_threshold: Duration::from_millis(10),
-            slow_op_capacity: 2,
-            ..Default::default()
-        });
-        assert_eq!(log.threshold(), Duration::from_millis(10));
-        let entry = |label: &str, ms: u64| SlowOpEntry {
-            kind: "commit",
-            label: label.to_string(),
-            elapsed: Duration::from_millis(ms),
-            seq: 7,
-            trace: Trace::default(),
-        };
-        assert!(!log.offer(entry("fast", 1)));
-        assert!(log.offer(entry("a", 20)));
-        assert!(log.offer(entry("b", 30)));
-        assert!(log.offer(entry("c", 40)));
-        let snap = log.snapshot();
-        assert_eq!(snap.len(), 2, "ring evicts oldest");
-        assert_eq!(snap[0].label, "b");
-        assert_eq!(snap[1].label, "c");
-        assert_eq!(snap[1].seq, 7);
-    }
 
     #[test]
     fn explain_renders_stages_and_switch() {

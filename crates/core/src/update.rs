@@ -46,15 +46,15 @@ use crate::engine::{EngineBuilder, EngineConfig, Strategy};
 use crate::manifest::{self, ManifestData, ManifestSegment};
 use crate::results::{SearchHit, SearchResults};
 use crate::snapshot::{AnyEngine, DocSource, Segment, SegmentView, Snapshot};
-use crate::telemetry::{SlowOpEntry, SlowOpLog, UpdateMetrics};
+use crate::telemetry::UpdateMetrics;
 use crate::wal::{Wal, WalFault, WalRecord};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 use xrank_obs::{
-    DegradeReason, EventData, FlightRecorder, Gauge, MetricsRegistry, OpKind, OpOutcome,
-    QueryTrace, Stage, Trace,
+    DegradeReason, EventData, FlightRecord, FlightRecorder, Gauge, MetricsRegistry, OpKind,
+    OpOutcome, QueryTrace, Stage, Trace,
 };
 use xrank_query::{CancelToken, QueryError, QueryOptions};
 use xrank_storage::{FileStore, MemStore, StorageError};
@@ -255,7 +255,6 @@ pub struct UpdatableXRank {
     /// ops here, and commits/compactions/swaps/GC/recovery land beside
     /// them on one timeline.
     recorder: Arc<FlightRecorder>,
-    slow_op_log: SlowOpLog,
     /// Per-segment gauge series published on the last scrape (retired
     /// when compaction/GC deletes their segment).
     segment_series: Mutex<HashSet<String>>,
@@ -371,6 +370,7 @@ impl UpdatableXRank {
         seg_config.obs.metrics_enabled = false;
         seg_config.obs.recorder.enabled = false;
 
+        let mut open_repairs = Vec::new();
         let (mut seq, mut views) = match &published {
             None => (0, Vec::new()),
             Some(m) => {
@@ -392,13 +392,7 @@ impl UpdatableXRank {
                             let rebuilt =
                                 rebuild_segment_store(&seg_dir, &docs, &seg_config)?;
                             drop(span);
-                            recorder.record(
-                                OpKind::Repair,
-                                &format!("open-repair seg-{}: {damage}", ms.id),
-                                trace.origin(),
-                                OpOutcome::Ok,
-                                &Trace::default(),
-                            );
+                            open_repairs.push(format!("open-repair seg-{}: {damage}", ms.id));
                             rebuilt
                         }
                     };
@@ -498,23 +492,12 @@ impl UpdatableXRank {
         }
 
         drop(recovery_span);
-        if trace.is_enabled() {
-            trace.event(Stage::Recovery, EventData::Count { what: "segments", n: live.len() as u64 });
-            if replayed > 0 {
-                trace.event(
-                    Stage::WalAppend,
-                    EventData::Count { what: "wal_replayed", n: replayed },
-                );
-            }
-            let origin = trace.origin();
-            recorder.record(
-                OpKind::Recovery,
-                &format!("recovery seq={seq}"),
-                origin,
-                OpOutcome::Ok,
-                &trace.finish(),
-            );
+        trace.event(Stage::Recovery, EventData::Count { what: "segments", n: live.len() as u64 });
+        if replayed > 0 {
+            trace.event(Stage::WalAppend, EventData::Count { what: "wal_replayed", n: replayed });
         }
+        let origin = trace.origin();
+        let recovery = trace.finish();
         let pipeline = Self::assemble(
             config,
             Some(dir),
@@ -524,6 +507,16 @@ impl UpdatableXRank {
             staged,
             wal,
             recorder,
+        );
+        for label in &open_repairs {
+            pipeline.record_op(OpKind::Repair, label, origin, OpOutcome::Ok, &Trace::default());
+        }
+        pipeline.record_op(
+            OpKind::Recovery,
+            &format!("recovery seq={seq}"),
+            origin,
+            OpOutcome::Ok,
+            &recovery,
         );
         pipeline.umetrics.wal_replayed.add(replayed);
         Ok(pipeline)
@@ -550,7 +543,6 @@ impl UpdatableXRank {
         });
         let umetrics = UpdateMetrics::new(&metrics);
         umetrics.publish_shape(&snapshot, staged.len());
-        let slow_op_log = SlowOpLog::new(&config.obs);
         UpdatableXRank {
             config,
             seg_config,
@@ -566,7 +558,6 @@ impl UpdatableXRank {
             metrics,
             umetrics,
             recorder,
-            slow_op_log,
             segment_series: Mutex::new(HashSet::new()),
             quarantined: Mutex::new(HashSet::new()),
         }
@@ -645,16 +636,14 @@ impl UpdatableXRank {
         let trace =
             if self.recorder.is_enabled() { QueryTrace::enabled() } else { QueryTrace::disabled() };
         self.publish_locked(w, views, &trace)?;
-        if trace.is_enabled() {
-            let origin = trace.origin();
-            self.recorder.record(
-                OpKind::ManifestSwap,
-                &format!("delete {uri}"),
-                origin,
-                OpOutcome::Ok,
-                &trace.finish(),
-            );
-        }
+        let origin = trace.origin();
+        self.record_op(
+            OpKind::ManifestSwap,
+            &format!("delete {uri}"),
+            origin,
+            OpOutcome::Ok,
+            &trace.finish(),
+        );
         Ok(true)
     }
 
@@ -690,13 +679,12 @@ impl UpdatableXRank {
                     stats.docs_added,
                     stats.seq
                 );
-                self.recorder.record(OpKind::Commit, &label, origin, OpOutcome::Ok, &stats.trace);
-                self.note_slow_op("commit", label, stats.wall, stats.seq, &stats.trace);
+                self.record_op(OpKind::Commit, &label, origin, OpOutcome::Ok, &stats.trace);
                 Ok(stats)
             }
             Err(e) => {
                 self.umetrics.commit_failures.inc();
-                self.recorder.record(
+                self.record_op(
                     OpKind::Commit,
                     &format!("commit failed: {e}"),
                     origin,
@@ -804,14 +792,13 @@ impl UpdatableXRank {
                         "compaction folded={} live={} seq={}",
                         stats.segments_folded, stats.docs_live, stats.seq
                     );
-                    self.recorder.record(
+                    self.record_op(
                         OpKind::Compaction,
                         &label,
                         origin,
                         OpOutcome::Ok,
                         &stats.trace,
                     );
-                    self.note_slow_op("compaction", label, stats.wall, stats.seq, &stats.trace);
                 }
                 Ok(stats)
             }
@@ -822,7 +809,7 @@ impl UpdatableXRank {
                     self.umetrics.compaction_failures.inc();
                     OpOutcome::Error
                 };
-                self.recorder.record(
+                self.record_op(
                     OpKind::Compaction,
                     &format!("compaction {}: {e}", outcome.name()),
                     origin,
@@ -834,28 +821,23 @@ impl UpdatableXRank {
         }
     }
 
-    /// Offers a finished background op to the slow-op ring (the analogue
-    /// of the engine's slow-query log for commits and compactions).
-    fn note_slow_op(
+    /// Offers a finished pipeline op to the flight recorder and counts it
+    /// in `xrank_update_slow_ops_total` when its `trace.total` reaches the
+    /// recorder's `slow_op` threshold — the recorder's own test, so the
+    /// counter matches the records it flags `slow`, and it keeps counting
+    /// with the recorder disabled.
+    fn record_op(
         &self,
-        kind: &'static str,
-        label: String,
-        elapsed: Duration,
-        seq: u64,
+        kind: OpKind,
+        label: &str,
+        origin: Instant,
+        outcome: OpOutcome,
         trace: &Trace,
     ) {
-        if elapsed >= self.slow_op_log.threshold() {
-            let captured = self.slow_op_log.offer(SlowOpEntry {
-                kind,
-                label,
-                elapsed,
-                seq,
-                trace: trace.clone(),
-            });
-            if captured {
-                self.umetrics.slow_ops.inc();
-            }
+        if trace.total >= self.recorder.config().slow_op {
+            self.umetrics.slow_ops.inc();
         }
+        self.recorder.record(kind, label, origin, outcome, trace);
     }
 
     fn fold_locked(
@@ -1081,7 +1063,7 @@ impl UpdatableXRank {
             let gc_span = gc_trace.span(Stage::Gc);
             manifest::gc(dir, seq, &live);
             drop(gc_span);
-            self.recorder.record(
+            self.record_op(
                 OpKind::Gc,
                 &format!("gc seq={seq}"),
                 gc_origin,
@@ -1218,7 +1200,7 @@ impl UpdatableXRank {
         self.umetrics.scrub_pages.add(report.pages_scanned);
         if !report.corrupt_segments.is_empty() {
             self.umetrics.scrub_corruptions.add(report.corrupt_segments.len() as u64);
-            self.recorder.record(
+            self.record_op(
                 OpKind::Scrub,
                 &format!("scrub quarantined {:?}", report.corrupt_segments),
                 origin,
@@ -1226,7 +1208,7 @@ impl UpdatableXRank {
                 &trace.finish(),
             );
         } else if report.wrapped && report.pages_scanned > 0 {
-            self.recorder.record(
+            self.record_op(
                 OpKind::Scrub,
                 &format!("scrub pass clean ({} pages)", report.pages_scanned),
                 origin,
@@ -1298,7 +1280,6 @@ impl UpdatableXRank {
     /// `false` when the segment is no longer in the published snapshot
     /// (compacted away since quarantine — nothing left to repair).
     pub fn repair_segment(&self, seg_id: u64) -> Result<bool, UpdateError> {
-        let start = Instant::now();
         let trace = QueryTrace::enabled();
         let origin = trace.origin();
         let mut w = self.writer.lock().unwrap_or_else(|e| e.into_inner());
@@ -1314,7 +1295,7 @@ impl UpdatableXRank {
             Ok(engine) => engine,
             Err(e) => {
                 drop(span);
-                self.recorder.record(
+                self.record_op(
                     OpKind::Repair,
                     &format!("repair seg-{seg_id} failed: {e}"),
                     origin,
@@ -1337,12 +1318,11 @@ impl UpdatableXRank {
                 self.umetrics.scrub_repairs.inc();
                 let label = format!("repair seg-{seg_id} rebuilt as seg-{new_id} seq={seq}");
                 let finished = trace.finish();
-                self.recorder.record(OpKind::Repair, &label, origin, OpOutcome::Ok, &finished);
-                self.note_slow_op("repair", label, start.elapsed(), seq, &finished);
+                self.record_op(OpKind::Repair, &label, origin, OpOutcome::Ok, &finished);
                 Ok(true)
             }
             Err(e) => {
-                self.recorder.record(
+                self.record_op(
                     OpKind::Repair,
                     &format!("repair seg-{seg_id} failed: {e}"),
                     origin,
@@ -1500,12 +1480,16 @@ impl UpdatableXRank {
         xrank_obs::render_chrome_trace(&self.recorder.records())
     }
 
-    /// The captured slow background ops (commits and compactions at
-    /// least [`ObsConfig::slow_op_threshold`](crate::ObsConfig) slow),
-    /// oldest first — the background-work analogue of
-    /// [`crate::XRankEngine::slow_queries`].
-    pub fn slow_ops(&self) -> Vec<SlowOpEntry> {
-        self.slow_op_log.snapshot()
+    /// The slow pipeline ops the flight recorder still holds (non-query
+    /// records it flagged `slow` against
+    /// [`xrank_obs::RecorderConfig::slow_op`]: commits, compactions,
+    /// repairs, …), oldest first — the background-work analogue of
+    /// [`crate::XRankEngine::slow_queries`]. Empty while the recorder is
+    /// disabled.
+    pub fn slow_ops(&self) -> Vec<FlightRecord> {
+        let mut records = self.recorder.records();
+        records.retain(|r| r.kind != OpKind::Query && r.slow);
+        records
     }
 
     /// Prometheus text exposition with the snapshot-shape gauges freshly

@@ -6,7 +6,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 use xrank_core::{
-    EngineBuilder, EngineConfig, ObsConfig, QueryExecutor, QueryRequest, Strategy, XRankEngine,
+    EngineBuilder, EngineConfig, ObsConfig, OpKind, QueryExecutor, QueryRequest, RecorderConfig,
+    Strategy, XRankEngine,
 };
 use xrank_obs::{EventData, Stage, SwitchReason};
 use xrank_query::QueryOptions;
@@ -229,8 +230,11 @@ fn error_paths_count_by_kind() {
 fn slow_query_log_captures_threshold_breaches() {
     let mut b = EngineBuilder::with_config(EngineConfig {
         obs: ObsConfig {
-            slow_query_threshold: Duration::ZERO, // everything is "slow"
-            slow_log_capacity: 2,
+            recorder: RecorderConfig {
+                slow_query: Duration::ZERO, // everything is "slow"
+                notable_capacity: 2,
+                ..Default::default()
+            },
             ..Default::default()
         },
         ..Default::default()
@@ -242,12 +246,40 @@ fn slow_query_log_captures_threshold_breaches() {
         e.query(q, Strategy::Dil, &opts).unwrap();
     }
     let slow = e.slow_queries();
-    // Ring buffer: capacity 2, oldest evicted.
-    assert_eq!(slow.len(), 2);
-    assert_eq!(slow[0].query, "xml workshop");
-    assert_eq!(slow[1].query, "querying xyleme");
-    assert!(slow.iter().all(|s| s.strategy == "dil"));
-    assert!(e.metrics_snapshot().counter("xrank_slow_queries_total") >= 3);
+    // The notable ring holds 2: the oldest slow query is evicted.
+    let labels: Vec<&str> = slow.iter().map(|s| s.label.as_str()).collect();
+    assert_eq!(labels, ["query[dil] xml workshop", "query[dil] querying xyleme"]);
+    assert_eq!(e.metrics_snapshot().counter("xrank_slow_queries_total"), 3);
+}
+
+/// The slow counter, `slow_queries()` and the recorder's `slow` flags
+/// agree because all three use `RecorderConfig::slow_query` on the
+/// trace total: setting only the recorder threshold is enough.
+#[test]
+fn slow_counter_and_accessor_follow_the_recorder_threshold() {
+    let mut b = EngineBuilder::with_config(EngineConfig {
+        obs: ObsConfig {
+            recorder: RecorderConfig { slow_query: Duration::ZERO, ..Default::default() },
+            ..Default::default()
+        },
+        ..Default::default()
+    });
+    b.add_xml("workshop", WORKSHOP).unwrap();
+    let e = b.build();
+    let opts = e.config().query.clone();
+    for q in ["xql language", "xml workshop", "querying xyleme"] {
+        e.query(q, Strategy::Dil, &opts).unwrap();
+    }
+    let flagged = e
+        .recorder()
+        .records()
+        .iter()
+        .filter(|r| r.kind == OpKind::Query && r.slow)
+        .count();
+    let counted = e.metrics_snapshot().counter("xrank_slow_queries_total");
+    assert_eq!(e.slow_queries().len(), 3);
+    assert_eq!(counted, 3);
+    assert_eq!(flagged, 3);
 }
 
 #[test]

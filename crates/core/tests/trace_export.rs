@@ -7,7 +7,7 @@
 use std::time::Duration;
 use xrank_core::{
     render_chrome_trace_normalized, validate_chrome_trace, EngineConfig, ObsConfig, OpKind,
-    UpdatableXRank,
+    RecorderConfig, UpdatableXRank,
 };
 
 /// The paper's Figure 1 / Section 4.2.2 workshop-proceedings example.
@@ -33,8 +33,11 @@ fn quiet_thresholds() -> ObsConfig {
     // Slowness depends on wall time; push the thresholds out of reach so
     // a scheduling hiccup cannot flip the `slow` flag in a golden dump.
     ObsConfig {
-        slow_query_threshold: Duration::from_secs(3600),
-        slow_op_threshold: Duration::from_secs(3600),
+        recorder: RecorderConfig {
+            slow_query: Duration::from_secs(3600),
+            slow_op: Duration::from_secs(3600),
+            ..Default::default()
+        },
         ..Default::default()
     }
 }
@@ -121,8 +124,11 @@ fn recorder_orders_queries_and_background_ops_on_one_timeline() {
 fn slow_op_log_captures_commits_and_compactions() {
     let config = EngineConfig {
         obs: ObsConfig {
-            slow_op_threshold: Duration::ZERO,
-            slow_query_threshold: Duration::from_secs(3600),
+            recorder: RecorderConfig {
+                slow_op: Duration::ZERO,
+                slow_query: Duration::from_secs(3600),
+                ..Default::default()
+            },
             ..Default::default()
         },
         ..Default::default()
@@ -135,7 +141,7 @@ fn slow_op_log_captures_commits_and_compactions() {
     e.compact().unwrap();
 
     let ops = e.slow_ops();
-    let kinds: Vec<&str> = ops.iter().map(|o| o.kind).collect();
+    let kinds: Vec<&str> = ops.iter().map(|o| o.kind.name()).collect();
     assert_eq!(kinds, ["commit", "commit", "compaction"], "slow-op log kinds: {kinds:?}");
     assert!(
         ops.iter().all(|o| !o.trace.spans.is_empty()),
@@ -176,11 +182,16 @@ fn per_segment_gauges_retire_when_compaction_drops_segments() {
 fn disabled_recorder_keeps_queries_untraced() {
     let mut config = EngineConfig::default();
     config.obs.recorder.enabled = false;
+    config.obs.recorder.slow_op = Duration::ZERO;
     let e = UpdatableXRank::new(config);
     e.add_xml("workshop", WORKSHOP).unwrap();
     e.commit().unwrap();
     e.search("xql language", 10).unwrap();
     assert!(e.recorder().records().is_empty(), "disabled recorder retained records");
+    // Nothing is retained, but the slow counter still counts the commit.
+    assert!(e.slow_ops().is_empty());
+    let rendered = e.render_metrics();
+    assert!(rendered.contains("xrank_update_slow_ops_total 1"), "{rendered}");
     let check = validate_chrome_trace(&e.dump_trace_json()).expect("empty dump still validates");
     assert!(check.tracks.is_empty(), "empty recorder produced tracks: {:?}", check.tracks);
 }

@@ -22,8 +22,6 @@
 //! component"): a prefix-free, order-preserving varint per component, so
 //! that *byte-lexicographic comparison of encoded IDs equals logical
 //! comparison* — the disk B+-tree compares raw key bytes without decoding.
-//! [`codec::prefix`] adds shared-prefix delta compression for sorted posting
-//! lists.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

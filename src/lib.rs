@@ -45,7 +45,7 @@ pub use xrank_core::{
     CompactStats, CompactionPolicy, Compactor, CrashPoint, DegradeReason, EngineBuilder,
     EngineConfig, Explain, FlightRecord, FlightRecorder, ObsConfig, OpKind, OpOutcome,
     PinnedSnapshot, QueryExecutor, QueryRequest, RecorderConfig, ScrubCursor, ScrubPolicy,
-    ScrubReport, Scrubber, SearchHit, SearchResults, SlowOpEntry, SlowQueryEntry, Snapshot,
+    ScrubReport, Scrubber, SearchHit, SearchResults, Snapshot,
     Strategy, SyncPolicy, TraceCheck, TrackSummary, UpdatableXRank, UpdateError, WalConfig,
     WalFault, XRankEngine,
 };
